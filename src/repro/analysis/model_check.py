@@ -21,6 +21,7 @@ exactly as it would run on a wire.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Tuple
 
@@ -165,7 +166,6 @@ def build_closed_system(
     messages: int = 2,
     capacity: int = 2,
     reorder_depth: int = 1,
-    memoize: bool = True,
 ):
     """The closed system used for exhaustive verification.
 
@@ -192,7 +192,6 @@ def build_closed_system(
             ScriptedEnvironment(t, r, batch),
         ],
         name=f"mc({protocol.name})",
-        memoize=memoize,
     )
     env_index = 4
 
@@ -230,10 +229,17 @@ def verify_delivery_order(
     alternating bit protocol is verified at depth 1 but yields a
     duplicate-delivery counterexample at depth 2.
 
-    ``workers > 1`` shards each BFS layer across a process pool (see
-    :func:`repro.ioa.explorer.explore`); the result is identical to a
-    serial run.
+    ``workers`` is deprecated and ignored (see
+    :func:`repro.ioa.explorer.explore`); passing it emits a
+    :class:`DeprecationWarning`.
     """
+    if workers is not None:
+        warnings.warn(
+            "verify_delivery_order(workers=...) is deprecated and "
+            "ignored; exploration runs serially",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     composition, invariant, _ = build_closed_system(
         protocol,
         messages=messages,
@@ -245,7 +251,6 @@ def verify_delivery_order(
         invariant=invariant,
         max_states=max_states,
         max_depth=10_000_000,
-        workers=workers,
     )
     counterexample = (
         None if result.violation is None else result.violation[1]

@@ -93,9 +93,6 @@ def _closed_system(
             ScriptedEnvironment(t, r, messages),
         ],
         name=f"refine({protocol.name})",
-        # The refinement walk revisits component slices constantly;
-        # memoized composition stepping makes those queries cache hits.
-        memoize=True,
     )
 
 

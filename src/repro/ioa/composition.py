@@ -12,7 +12,7 @@ execution of the composition projects to an execution of each component).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .actions import Action
 from .automaton import Automaton, State
@@ -39,7 +39,6 @@ class Composition(Automaton):
         self,
         components: Sequence[Automaton],
         name: str = "composition",
-        memoize: bool = False,
     ):
         components = list(components)
         conflicts = compatibility_conflicts(
@@ -83,23 +82,6 @@ class Composition(Automaton):
         for i, component in enumerate(self._components):
             for family in component.signature.local:
                 self._local_owner[family] = i
-        # Memoization for composition stepping (see transitions /
-        # enabled_local_actions): per-component successor choices keyed on
-        # (component index, component state, action), and per-component
-        # enabled local actions keyed on (component index, component
-        # state).  Components are pure functions of their state, so the
-        # caches are sound; they are bounded by the explored state space.
-        # Opt-in (``memoize=True``) because it pays off only on workloads
-        # that revisit component slices -- exhaustive exploration and
-        # refinement checking -- and costs hashing and memory on
-        # simulation-style workloads whose uid-stamped states rarely
-        # repeat.
-        self._step_cache: Optional[
-            Dict[Tuple[int, State, Action], Tuple[State, ...]]
-        ] = {} if memoize else None
-        self._enabled_cache: Optional[
-            Dict[Tuple[int, State], Tuple[Action, ...]]
-        ] = {} if memoize else None
 
     # ------------------------------------------------------------------
     # Component access
@@ -157,51 +139,6 @@ class Composition(Automaton):
     def initial_state(self) -> State:
         return tuple(c.initial_state() for c in self._components)
 
-    def component_transitions(
-        self, index: int, component_state: State, action: Action
-    ) -> Tuple[State, ...]:
-        """Memoized ``components[index].transitions(component_state, action)``.
-
-        The cross-product in :meth:`transitions` asks every owning
-        component for its choices on every step; during exhaustive
-        exploration the same (component state, action) pair recurs across
-        thousands of composed states (most steps change only 1-2 of the
-        slices), so the answers are cached here.
-        """
-        if self._step_cache is None:
-            return self._components[index].transitions(
-                component_state, action
-            )
-        key = (index, component_state, action)
-        cached = self._step_cache.get(key)
-        if cached is None:
-            cached = self._components[index].transitions(
-                component_state, action
-            )
-            self._step_cache[key] = cached
-        return cached
-
-    def component_enabled_local_actions(
-        self, index: int, component_state: State
-    ) -> Tuple[Action, ...]:
-        """Memoized enabled-local-action list of one component slice."""
-        if self._enabled_cache is None:
-            return tuple(
-                self._components[index].enabled_local_actions(
-                    component_state
-                )
-            )
-        key = (index, component_state)
-        cached = self._enabled_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                self._components[index].enabled_local_actions(
-                    component_state
-                )
-            )
-            self._enabled_cache[key] = cached
-        return cached
-
     def transitions(self, state: State, action: Action) -> Tuple[State, ...]:
         owners = self._family_owners.get(action.key)
         if not owners:
@@ -209,7 +146,7 @@ class Composition(Automaton):
         # Every owning component must be able to take the step.
         per_component_choices: List[Tuple[State, ...]] = []
         for i in owners:
-            choices = self.component_transitions(i, state[i], action)
+            choices = self._components[i].transitions(state[i], action)
             if not choices:
                 return ()
             per_component_choices.append(choices)
@@ -224,17 +161,10 @@ class Composition(Automaton):
     def enabled_local_actions(self, state: State) -> Iterable[Action]:
         # An action locally controlled by one component may be an input
         # of others; it is enabled in the composition since inputs are
-        # always enabled.
-        if self._enabled_cache is None:
-            # Stay lazy: callers like is_quiescent stop at the first
-            # action, so nothing should be materialized up front.
-            for i, component in enumerate(self._components):
-                yield from component.enabled_local_actions(state[i])
-        else:
-            for i in range(len(self._components)):
-                yield from self.component_enabled_local_actions(
-                    i, state[i]
-                )
+        # always enabled.  Stay lazy: callers like is_quiescent stop at
+        # the first action, so nothing should be materialized up front.
+        for i, component in enumerate(self._components):
+            yield from component.enabled_local_actions(state[i])
 
     def task_of(self, action: Action) -> Hashable:
         owner = self._local_owner.get(action.key)

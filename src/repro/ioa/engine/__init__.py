@@ -3,9 +3,8 @@
 The engine is the backend of :func:`repro.ioa.explorer.explore`; the
 pieces are exposed here for direct use and benchmarking:
 
-* :mod:`.core` -- serial trace-free BFS with state interning and
-  memoized composition stepping;
-* :mod:`.parallel` -- layer-sharded multiprocessing frontier mode;
+* :mod:`.core` -- serial trace-free BFS over encoded states, stepping
+  components through the encoder's per-slice memo;
 * :mod:`.interning` -- the dense-id intern table;
 * :mod:`.encoding` -- the flat state encoder (tuple and packed forms)
   shared by every backend;
@@ -20,7 +19,6 @@ from .core import ExplorationResult, explore_engine
 from .diskstore import DiskStateSet, DiskStore, explore_disk
 from .encoding import EncodingOverflow, StateEncoder, StreamEncoder
 from .interning import InternTable
-from .parallel import PARALLEL_THRESHOLD, explore_parallel
 
 __all__ = [
     "DiskStateSet",
@@ -28,10 +26,8 @@ __all__ = [
     "EncodingOverflow",
     "ExplorationResult",
     "InternTable",
-    "PARALLEL_THRESHOLD",
     "StateEncoder",
     "StreamEncoder",
     "explore_disk",
     "explore_engine",
-    "explore_parallel",
 ]

@@ -288,7 +288,6 @@ def explore_accel(
     max_depth: int = 10_000,
     validate: bool = False,
     initial_state: Optional[State] = None,
-    encoder: Optional[StateEncoder] = None,
 ) -> ExplorationResult:
     """Compiled-backend exploration (same contract as the engine).
 
@@ -307,8 +306,7 @@ def explore_accel(
         raise AccelUnavailable("validate=True runs on the pure engine")
     module = _load_module()
 
-    if encoder is None:
-        encoder = StateEncoder(automaton)
+    encoder = StateEncoder(automaton)
     if encoder.n * encoder.bits_per_slot > 64 or encoder.n > 64:
         raise AccelUnavailable("composition too wide for packed keys")
 

@@ -20,7 +20,7 @@ import json
 import os
 import time
 from statistics import median
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 DEFAULT_PATH = os.path.join("bench", "BENCH_explore.json")
 TRACE_PATH = os.path.join("bench", "BENCH_explore_trace.jsonl")
@@ -83,7 +83,6 @@ def _time_explore(explore_fn, build_system, repeats: int):
 def run_bench(
     cases: Iterable[Tuple[str, str, int, int, int, bool]] = DEFAULT_CASES,
     repeats: int = 3,
-    workers: Optional[int] = None,
 ) -> Dict:
     """Benchmark engine vs. reference BFS on each closed system.
 
@@ -105,7 +104,6 @@ def run_bench(
     report: Dict = {
         "generated_by": "repro.ioa.engine.bench",
         "repeats": repeats,
-        "workers": workers,
         "accel_backend": backend,
         # Absolute states/sec is host-dependent; regression gates
         # should annotate or skip when the affinity mask is starved
@@ -117,26 +115,18 @@ def run_bench(
     accel_speedups = []
     for key, spec, messages, capacity, reorder_depth, expected_ok in cases:
 
-        def build_system(spec=spec, memoize=True):
-            # The reference baseline is timed in the seed configuration
-            # (no composition memoization): it stands in for the
-            # pre-engine explorer, and memoization is part of what this
-            # benchmark measures.
+        def build_system(spec=spec):
             composition, invariant, _ = build_closed_system(
                 _protocol_factory(spec)(),
                 messages=messages,
                 capacity=capacity,
                 reorder_depth=reorder_depth,
-                memoize=memoize,
             )
             return composition, invariant
 
         def engine_fn(composition, invariant, max_depth):
             return explore(
-                composition,
-                invariant=invariant,
-                max_depth=max_depth,
-                workers=workers,
+                composition, invariant=invariant, max_depth=max_depth
             )
 
         def reference_fn(composition, invariant, max_depth):
@@ -159,9 +149,7 @@ def run_bench(
             engine_fn, build_system, repeats
         )
         reference_seconds, reference_result = _time_explore(
-            reference_fn,
-            lambda: build_system(memoize=False),
-            repeats,
+            reference_fn, build_system, repeats
         )
         if backend is not None:
             accel_seconds, accel_result = _time_explore(
@@ -248,7 +236,6 @@ def run_bench(
 def write_bench_trace(
     path: str = TRACE_PATH,
     case: Tuple[str, str, int, int, int, bool] = DEFAULT_CASES[0],
-    workers: Optional[int] = None,
 ) -> Dict:
     """Run one benchmark exploration under full tracing.
 
@@ -279,14 +266,10 @@ def write_bench_trace(
             "messages": messages,
             "capacity": capacity,
             "reorder_depth": reorder_depth,
-            "workers": workers,
         },
     ) as tracer:
         result = explore(
-            composition,
-            invariant=invariant,
-            max_depth=10_000_000,
-            workers=workers,
+            composition, invariant=invariant, max_depth=10_000_000
         )
     return {
         "path": path,
@@ -300,10 +283,9 @@ def write_bench_json(
     path: str = DEFAULT_PATH,
     cases: Iterable[Tuple[str, str, int, int, int, bool]] = DEFAULT_CASES,
     repeats: int = 3,
-    workers: Optional[int] = None,
 ) -> Dict:
     """Run the benchmark and write the JSON report to ``path``."""
-    report = run_bench(cases=cases, repeats=repeats, workers=workers)
+    report = run_bench(cases=cases, repeats=repeats)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)

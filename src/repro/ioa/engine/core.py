@@ -134,7 +134,6 @@ def explore_engine(
     max_depth: int = 10_000,
     validate: bool = False,
     initial_state: Optional[State] = None,
-    encoder: Optional[StateEncoder] = None,
 ) -> ExplorationResult:
     """Serial engine entry point (see module docstring).
 
@@ -144,11 +143,9 @@ def explore_engine(
     is enabled, raising :class:`InputEnablednessError` otherwise.
     ``initial_state`` starts the search from the given (possibly
     unreachable) state instead of the automaton's own initial state.
-    ``encoder`` lets a caller share a pre-warmed :class:`StateEncoder`
-    (ids and stepping memos) with this search.
     """
     if isinstance(automaton, Composition):
-        return _CompositionSearch(automaton, encoder=encoder).run(
+        return _CompositionSearch(automaton).run(
             environment,
             invariant,
             max_states,
@@ -285,41 +282,18 @@ class _CompositionSearch:
     """BFS over interned (encoded) states of a :class:`Composition`.
 
     Encoded states are tuples of per-slot slice ids.  The mapping and
-    the stepping caches live in a shared :class:`StateEncoder` -- one
-    per search, or one handed in by a caller that wants to reuse the
-    ids (the parallel frontier and the accelerated backend do) --
+    the stepping caches live in the search's :class:`StateEncoder`,
     mapping ``sid`` to the slice's enabled (token, owners) pairs and
     ``(sid, token)`` to the successor slice ids, so a slice value is
     only ever stepped once per action no matter how many composed
-    states contain it.
+    states contain it.  The disk backend and the refinement checker
+    walk the same :meth:`expand`.
     """
 
-    def __init__(
-        self,
-        composition: Composition,
-        encoder: Optional[StateEncoder] = None,
-    ):
+    def __init__(self, composition: Composition):
         self.composition = composition
         self.n = len(composition.components)
-        self.encoder = encoder if encoder is not None else StateEncoder(
-            composition
-        )
-
-    # -- encoding (delegated to the shared encoder) ---------------------
-
-    def encode(self, state: State) -> Tuple[int, ...]:
-        return self.encoder.encode(state)
-
-    def decode(self, encoded: Tuple[int, ...]) -> State:
-        return self.encoder.decode(encoded)
-
-    def _token(self, action: Action) -> int:
-        return self.encoder.token(action)
-
-    def _enabled_pairs(
-        self, slot: int, sid: int
-    ) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-        return self.encoder.enabled_pairs(slot, sid)
+        self.encoder = StateEncoder(composition)
 
     def _successor_sids(
         self, slot: int, sid: int, token: int
@@ -389,13 +363,13 @@ class _CompositionSearch:
         if tracer.enabled:
             self._install_memo_counters()
             tracer.count("explore.states", 1)  # the start state
-        start_enc = self.encode(start)
+        start_enc = self.encoder.encode(start)
         # Encoded parent pointers: enc -> (predecessor enc, action token).
         parents: Dict[Tuple[int, ...], Optional[Tuple]] = {start_enc: None}
         layer: List[Tuple[int, ...]] = [start_enc]
         depth = 0
         truncated = False
-        decode = self.decode
+        decode = self.encoder.decode
         expand = self.expand
         while layer:
             if depth >= max_depth:
@@ -513,5 +487,5 @@ class _CompositionSearch:
         return tuple(actions)
 
     def _decode_all(self, parents: Dict) -> Set[State]:
-        decode = self.decode
+        decode = self.encoder.decode
         return {decode(encoded) for encoded in parents}

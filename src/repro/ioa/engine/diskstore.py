@@ -69,6 +69,9 @@ __all__ = [
 #: they are merged into the sorted disk runs.
 DEFAULT_RAM_CAP = 1_000_000
 
+#: Number of visited-membership shards (each with its own sorted run).
+SHARDS = 16
+
 #: Entry-log records read per chunk while streaming a BFS layer.
 _LAYER_CHUNK = 4096
 
@@ -87,11 +90,9 @@ class DiskStore:
         n_slots: int,
         directory: Optional[str] = None,
         ram_cap: int = DEFAULT_RAM_CAP,
-        shards: int = 16,
     ):
         self.n_slots = n_slots
         self.ram_cap = max(1, ram_cap)
-        self.shards = max(1, shards)
         owns_directory = directory is None
         if owns_directory:
             directory = tempfile.mkdtemp(prefix="repro-explore-")
@@ -107,12 +108,12 @@ class DiskStore:
         self.count = 0
         self.flushes = 0
         self._ram: List[Set[Tuple[int, ...]]] = [
-            set() for _ in range(self.shards)
+            set() for _ in range(SHARDS)
         ]
         self._ram_total = 0
-        self._run_paths: List[Optional[str]] = [None] * self.shards
-        self._run_counts = [0] * self.shards
-        self._run_handles: List[Optional[Any]] = [None] * self.shards
+        self._run_paths: List[Optional[str]] = [None] * SHARDS
+        self._run_counts = [0] * SHARDS
+        self._run_handles: List[Optional[Any]] = [None] * SHARDS
         self._cleanup: Optional[weakref.finalize]
         if owns_directory:
             # Scratch files die with the store (or at interpreter exit),
@@ -128,7 +129,7 @@ class DiskStore:
 
     def contains(self, encoded: Tuple[int, ...]) -> bool:
         """Whether the encoded state was ever appended."""
-        shard = hash(encoded) % self.shards
+        shard = hash(encoded) % SHARDS
         if encoded in self._ram[shard]:
             return True
         if self._run_paths[shard] is None:
@@ -171,7 +172,7 @@ class DiskStore:
         """
         if self._ram_total >= self.ram_cap:
             self._flush()
-        shard = hash(encoded) % self.shards
+        shard = hash(encoded) % SHARDS
         self._ram[shard].add(encoded)
         self._ram_total += 1
         self._entries.write(
@@ -188,7 +189,7 @@ class DiskStore:
         ``count``, never by file size -- mirroring the stale hash slot
         the compiled backend leaves behind on the same code path.
         """
-        shard = hash(encoded) % self.shards
+        shard = hash(encoded) % SHARDS
         self._ram[shard].discard(encoded)
         self._ram_total -= 1
         self.count -= 1
@@ -205,7 +206,7 @@ class DiskStore:
         self.flushes += 1
         size = self._key_struct.size
         pack = self._key_struct.pack
-        for shard in range(self.shards):
+        for shard in range(SHARDS):
             fresh = self._ram[shard]
             if not fresh:
                 continue
@@ -354,10 +355,8 @@ def explore_disk(
     max_depth: int = 10_000,
     validate: bool = False,
     initial_state: Optional[State] = None,
-    encoder: Optional[StateEncoder] = None,
     ram_cap: Optional[int] = None,
     directory: Optional[str] = None,
-    shards: int = 16,
 ) -> ExplorationResult:
     """Bounded BFS with disk-backed visited set and frontier.
 
@@ -380,9 +379,8 @@ def explore_disk(
         ram_cap = int(
             os.environ.get("REPRO_DISK_RAM_CAP", DEFAULT_RAM_CAP)
         )
-    if encoder is None:
-        encoder = StateEncoder(automaton)
-    search = _CompositionSearch(automaton, encoder=encoder)
+    search = _CompositionSearch(automaton)
+    encoder = search.encoder
     signature = automaton.signature if validate else None
     start = (
         initial_state
@@ -391,9 +389,7 @@ def explore_disk(
     )
     if invariant is not None and not invariant(start):
         return ExplorationResult({start}, False, (start, ()))
-    store = DiskStore(
-        encoder.n, directory=directory, ram_cap=ram_cap, shards=shards
-    )
+    store = DiskStore(encoder.n, directory=directory, ram_cap=ram_cap)
     tracer = current_tracer()
     if tracer.enabled:
         tracer.count("explore.states", 1)  # the start state

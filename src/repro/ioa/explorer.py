@@ -6,16 +6,14 @@ environment.  This provides lightweight model checking of safety
 invariants -- e.g. "the alternating-bit protocol never delivers out of
 order over any FIFO-channel adversary with at most N in-flight packets".
 
-:func:`explore` is the public entry point; since the exploration-engine
-rewrite it delegates to :mod:`repro.ioa.engine`, which keeps trace-free
-parent-pointer frontiers, interns composed states, memoizes component
-stepping, and (with ``workers > 1``) shards each BFS layer across a
-process pool.  The original naive breadth-first search is preserved
-verbatim behind ``explore(engine="reference")``: it is the
-differential-testing oracle the engine is validated against, and the
-ground truth for the result contract.  The old public name
-:func:`explore_reference` survives as a thin shim that emits a
-:class:`DeprecationWarning`.
+:func:`explore` is the public entry point; it delegates to
+:mod:`repro.ioa.engine`, which keeps trace-free parent-pointer
+frontiers and steps compositions over encoded states through the
+:class:`~repro.ioa.engine.encoding.StateEncoder` per-slice memo.  The
+original naive breadth-first search is preserved verbatim behind
+``explore(engine="reference")``: it is the differential-testing oracle
+the engine is validated against, and the ground truth for the result
+contract.
 
 Budget contract (both explorers): when the ``max_states`` budget is
 reached the search stops immediately -- no further successors of the
@@ -44,7 +42,6 @@ __all__ = [
     "ExplorationResult",
     "InputEnablednessError",
     "explore",
-    "explore_reference",
     "reachable_states",
 ]
 
@@ -77,17 +74,14 @@ def explore(
 
     Nondeterministic transitions are followed exhaustively.
 
-    ``workers > 1`` shards each BFS layer across a forked process pool
-    (falling back to serial for narrow layers and on platforms without
-    ``fork``).  The per-layer merge is a barrier, so the reachable set,
-    the ``truncated`` flag and counterexample minimality are identical
-    to a serial run.
+    ``workers`` is deprecated and ignored: exploration always runs
+    serially (the compiled ``engine="accel"`` core is the fast path).
+    Passing it emits a :class:`DeprecationWarning`.
 
     ``validate=True`` is a debug mode that checks input-enabledness at
     every expanded state: if the environment offers an input action with
     no transition, :class:`InputEnablednessError` is raised (this is
-    ``Automaton.check_input_enabled`` wired into the engine).  Validation
-    runs serially -- ``workers`` is ignored when it is on.
+    ``Automaton.check_input_enabled`` wired into the engine).
 
     ``engine`` selects the backend: ``"auto"`` (the default) is the
     high-throughput engine; ``"accel"`` opts into the compiled
@@ -102,9 +96,16 @@ def explore(
     RAM (compositions only; RAM budget from ``$REPRO_DISK_RAM_CAP``,
     see :func:`repro.ioa.engine.diskstore.explore_disk`);
     ``"reference"`` is the original naive BFS kept verbatim as the
-    differential-testing oracle (serial only -- ``workers`` and
-    ``validate`` are not supported with it).
+    differential-testing oracle (``validate`` is not supported with
+    it).
     """
+    if workers is not None:
+        warnings.warn(
+            "explore(workers=...) is deprecated and ignored; exploration "
+            "runs serially (engine='accel' is the fast path)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     if engine == "accel":
         from .engine.accel import AccelUnavailable, explore_accel
         from .engine.encoding import EncodingOverflow
@@ -146,11 +147,7 @@ def explore(
                 "validate=True is not supported by the reference "
                 "explorer; use the default engine"
             )
-        if workers is not None and workers > 1:
-            raise ValueError(
-                "workers > 1 is not supported by the reference explorer"
-            )
-        result = _explore_reference(
+        result = _reference_bfs(
             automaton,
             environment=environment or (lambda _: ()),
             invariant=invariant,
@@ -169,68 +166,18 @@ def explore(
             f"unknown engine {engine!r}; expected 'auto', 'accel', "
             "'disk' or 'reference'"
         )
-    if validate:
-        return explore_engine(
-            automaton,
-            environment=environment,
-            invariant=invariant,
-            max_states=max_states,
-            max_depth=max_depth,
-            validate=True,
-            initial_state=initial_state,
-        )
-    if workers is not None and workers > 1:
-        from .engine.parallel import explore_parallel
-
-        return explore_parallel(
-            automaton,
-            environment=environment,
-            invariant=invariant,
-            max_states=max_states,
-            max_depth=max_depth,
-            workers=workers,
-            initial_state=initial_state,
-        )
     return explore_engine(
         automaton,
         environment=environment,
         invariant=invariant,
         max_states=max_states,
         max_depth=max_depth,
+        validate=validate,
         initial_state=initial_state,
     )
 
 
-def explore_reference(
-    automaton: Automaton,
-    environment: Callable[[State], Iterable[Action]] = lambda _: (),
-    invariant: Optional[Callable[[State], bool]] = None,
-    max_states: int = 50_000,
-    max_depth: int = 10_000,
-) -> ExplorationResult:
-    """Deprecated alias for ``explore(engine="reference")``.
-
-    The reference explorer is an engine *backend* now, not a second
-    public entry point; this shim keeps old call sites working while
-    they migrate.
-    """
-    warnings.warn(
-        "explore_reference is deprecated; call "
-        "explore(..., engine='reference') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return explore(
-        automaton,
-        environment=environment,
-        invariant=invariant,
-        max_states=max_states,
-        max_depth=max_depth,
-        engine="reference",
-    )
-
-
-def _explore_reference(
+def _reference_bfs(
     automaton: Automaton,
     environment: Callable[[State], Iterable[Action]] = lambda _: (),
     invariant: Optional[Callable[[State], bool]] = None,
@@ -292,10 +239,17 @@ def reachable_states(
     max_states: int = 50_000,
     workers: Optional[int] = None,
 ) -> Set[State]:
-    """The set of states reachable under the given environment."""
+    """The set of states reachable under the given environment.
+
+    ``workers`` is deprecated and ignored, as on :func:`explore`.
+    """
+    if workers is not None:
+        warnings.warn(
+            "reachable_states(workers=...) is deprecated and ignored; "
+            "exploration runs serially",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     return explore(
-        automaton,
-        environment=environment,
-        max_states=max_states,
-        workers=workers,
+        automaton, environment=environment, max_states=max_states
     ).states

@@ -12,7 +12,6 @@ New code should construct a ``Session`` and call ``run()``.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -50,41 +49,18 @@ class ScenarioResult:
     def report(
         self,
         duration_s: float = 0.0,
-        *legacy_stations,
+        *,
         stations: Tuple[str, str] = ("t", "r"),
-        **legacy,
     ) -> RunReport:
         """This scenario as the unified :class:`~repro.obs.RunReport`.
 
         ``stations`` names the (transmitter, receiver) pair the
-        delivery and channel statistics are computed over.  The
-        pre-redesign form -- separate ``t=``/``r=`` keywords, or the
-        station names passed positionally after ``duration_s`` -- is
-        still accepted but emits a :class:`DeprecationWarning`.
+        delivery and channel statistics are computed over.
 
         The status is ``ok`` -- a scenario that ran to completion is a
         successful run whatever the protocol did; correctness verdicts
         come from the trace auditors, which the CLI folds in on top.
         """
-        if legacy_stations or legacy:
-            unknown = set(legacy) - {"t", "r"}
-            if unknown or len(legacy_stations) > 2:
-                raise TypeError(
-                    "report() accepts stations=(t, r); unexpected "
-                    f"arguments: {sorted(unknown) or legacy_stations}"
-                )
-            warnings.warn(
-                "ScenarioResult.report(duration_s, t=..., r=...) is "
-                "deprecated; pass stations=(t, r) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            t, r = stations
-            if legacy_stations:
-                t = legacy_stations[0]
-                if len(legacy_stations) > 1:
-                    r = legacy_stations[1]
-            stations = (legacy.get("t", t), legacy.get("r", r))
         from .metrics import channel_stats, delivery_stats
 
         t, r = stations

@@ -29,6 +29,7 @@ Session can be re-run bit-identically.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -39,6 +40,10 @@ from ..channels.actions import CRASH, FAIL
 from ..obs import current_tracer
 from .network import DataLinkSystem
 from .runner import ScenarioResult, _dropped
+
+#: Stands in for the per-step span when tracing is off (reusable: a
+#: ``nullcontext`` keeps no state between entries).
+_NO_SPAN = nullcontext()
 
 
 @dataclass
@@ -126,7 +131,14 @@ class Session:
         tracer = current_tracer()
         with tracer.span("sim.scenario", seed=self.seed):
             for action in self.script:
-                with tracer.span("sim.step", action=str(action)):
+                # The span's action label is formatted only under an
+                # enabled tracer: the disabled path does no string work.
+                step_span = (
+                    tracer.span("sim.step", action=str(action))
+                    if tracer.enabled
+                    else _NO_SPAN
+                )
+                with step_span:
                     if tracer.enabled:
                         tracer.count("sim.inputs")
                         if action.name == CRASH:

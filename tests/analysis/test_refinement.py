@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.alphabets import Message
 from repro.analysis import (
@@ -94,3 +95,73 @@ class TestAbpRefinement:
         assert not result.holds
         assert result.failing_trace
         assert "not a specification step" in result.failure
+
+
+# Values recorded before the walk moved onto the encoder's per-slice
+# memo: the encoded walk must reproduce them exactly.
+PINNED_ABP = {(2, 2): 1020, (3, 2): 2742, (3, 3): 5560}
+PINNED_EAGER = {(2, 2): 13, (3, 2): 14, (3, 3): 15}
+Q0 = "Message(ident=0, label='q', size=0)"
+EAGER_FAILURE = (
+    f"step receive_msg^{{t,r}}({Q0}) maps ({Q0},) to ({Q0},), which is "
+    "not a specification step"
+)
+EAGER_TRACE = [
+    "wake^{t,r}",
+    "wake^{r,t}",
+    f"send_msg^{{t,r}}({Q0})",
+    f"send_pkt^{{t,r}}(Packet(header='DATA', body=({Q0},), uid=None))",
+    f"receive_pkt^{{t,r}}(Packet(header='DATA', body=({Q0},), uid=None))",
+    f"receive_msg^{{t,r}}({Q0})",
+]
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize("bounds", sorted(PINNED_ABP))
+    def test_abp_states_checked(self, bounds):
+        messages, capacity = bounds
+        result = verify_abp_refinement(messages=messages, capacity=capacity)
+        assert result.holds and result.exhaustive
+        assert result.states_checked == PINNED_ABP[bounds]
+        assert result.failure is None and result.failing_trace == ()
+
+    @pytest.mark.parametrize("bounds", sorted(PINNED_EAGER))
+    def test_eager_failure(self, bounds):
+        messages, capacity = bounds
+        result = verify_refinement(
+            eager_protocol(), eager_mapping, messages, capacity
+        )
+        assert not result.holds and result.exhaustive
+        assert result.states_checked == PINNED_EAGER[bounds]
+        assert result.failure == EAGER_FAILURE
+        assert [str(action) for action in result.failing_trace] == EAGER_TRACE
+
+    @pytest.mark.parametrize(
+        "max_states, exhaustive", [(1, False), (300, False), (1019, False),
+                                   (1020, True)]
+    )
+    def test_budget(self, max_states, exhaustive):
+        from repro.protocols import alternating_bit_protocol
+
+        result = verify_refinement(
+            alternating_bit_protocol(), abp_mapping, 2, 2,
+            max_states=max_states,
+        )
+        assert result.holds
+        assert result.states_checked == max_states
+        assert result.exhaustive == exhaustive
+
+    def test_plain_automaton_walk(self):
+        # A non-composition implementation steps through transitions.
+        def environment(state):
+            if len(state) < 2:
+                return [send_msg("t", "r", Message(len(state) + 10))]
+            return []
+
+        result = check_refinement(
+            ReliableLinkSpec(), ReliableLinkSpec(), lambda s: s,
+            environment=environment,
+        )
+        assert (result.holds, result.states_checked, result.exhaustive) == (
+            True, 5, True
+        )

@@ -268,14 +268,16 @@ def test_batch_budget_times_out_remaining_runs():
 def test_run_timeout_records_failed_run():
     from repro.protocols.naive import DirectTransmitter
 
+    slept_through = []
+
     class SlowTransmitter(DirectTransmitter):
         def initial_core(self):
             time.sleep(60)
+            slept_through.append(True)
             return super().initial_core()
 
     FUZZ_PROTOCOLS["_slow_test"] = lambda: _strawman(SlowTransmitter)
     try:
-        started = time.perf_counter()
         campaign = fuzz_campaign(
             "_slow_test",
             "perfect",
@@ -283,10 +285,10 @@ def test_run_timeout_records_failed_run():
             FuzzConfig(runs=1, shrink=False),
             run_timeout=0.2,
         )
-        elapsed = time.perf_counter() - started
     finally:
         del FUZZ_PROTOCOLS["_slow_test"]
-    assert elapsed < 30
+    # The guard interrupted the sleep itself: no wall-clock bound needed.
+    assert slept_through == []
     assert campaign.failed_runs == 1
     assert "wall-clock" in campaign.runs[0].error
     assert campaign.pool["timeouts"] == 1

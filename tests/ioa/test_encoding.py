@@ -1,7 +1,7 @@
 """Property tests for the state encoder.
 
 The encoder is the engine's load-bearing abstraction: every backend
-(pure-Python, compiled, disk-backed, parallel) trusts that encoding is
+(pure-Python, compiled, disk-backed) trusts that encoding is
 a bijection on the states it has seen.  Hypothesis drives the check
 over *arbitrary* composed states -- each slice drawn independently from
 its component's locally-reachable pool, so most samples are jointly

@@ -1,8 +1,8 @@
 """Differential tests: the exploration engine vs. the naive reference BFS.
 
 The engine behind :func:`repro.ioa.explore` (trace-free parent-pointer
-frontiers, state interning, memoized composition stepping, optional
-parallel layers) must be observationally identical to the original
+frontiers, state interning, stepping through the encoder's per-slice
+memo) must be observationally identical to the original
 naive breadth-first search, kept behind ``explore(engine="reference")``:
 same reachable-state set, same ``truncated`` flag, and a counterexample
 of the same (layer-minimal) length that actually replays on the
@@ -16,7 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.ioa import Composition, explore
-from repro.ioa.engine import InternTable, explore_parallel
+from repro.ioa.engine import InternTable
+from repro.ioa.engine.core import _CompositionSearch
 from repro.analysis.model_check import build_closed_system
 from repro.protocols import (
     alternating_bit_protocol,
@@ -40,7 +41,6 @@ def assert_equivalent(automaton_factory, reference_factory=None, **kwargs):
     """
     reference_factory = reference_factory or automaton_factory
     engine = explore(automaton_factory(), **kwargs)
-    kwargs.pop("workers", None)
     reference = explore(reference_factory(), engine="reference", **kwargs)
     assert engine.states == reference.states
     assert engine.truncated == reference.truncated
@@ -99,11 +99,6 @@ class TestToyDifferential:
         engine, _ = assert_equivalent(factory, environment=environment)
         assert ((), ()) in engine.states
 
-    def test_toy_composition_memoized(self):
-        factory = lambda: Composition([Echo(), Forwarder()], memoize=True)
-        environment = lambda s: [ping(len(s[0]))] if len(s[0]) < 3 else []
-        assert_equivalent(factory, environment=environment)
-
     def test_max_states_truncation(self):
         engine, reference = assert_equivalent(
             lambda: Counter(100), max_states=10
@@ -135,21 +130,20 @@ class TestZooDifferential:
     def test_closed_system_equivalence(self, name):
         protocol_factory, reorder_depth = ZOO[name]
 
-        def build(memoize):
+        def build():
             composition, invariant, _ = build_closed_system(
                 protocol_factory(),
                 messages=2,
                 capacity=2,
                 reorder_depth=reorder_depth,
-                memoize=memoize,
             )
             return composition, invariant
 
-        composition, invariant = build(memoize=False)
+        composition, invariant = build()
         engine = explore(
             composition, invariant=invariant, max_depth=10_000_000
         )
-        ref_composition, ref_invariant = build(memoize=False)
+        ref_composition, ref_invariant = build()
         reference = explore(
             ref_composition,
             invariant=ref_invariant,
@@ -162,7 +156,7 @@ class TestZooDifferential:
         if engine.violation is not None:
             state, trace = engine.violation
             assert len(trace) == len(reference.violation[1])
-            replay_composition, _ = build(memoize=False)
+            replay_composition, _ = build()
             assert_trace_reaches(replay_composition, trace, state)
 
     def test_budget_truncation_equivalence(self):
@@ -187,7 +181,7 @@ class TestZooDifferential:
 
 
 class TestParallelFrontier:
-    """workers=N shards layers but must stay observationally serial."""
+    """``workers=N`` is a deprecated no-op: the answer stays serial."""
 
     def test_parallel_equivalence(self):
         composition, invariant, _ = build_closed_system(
@@ -199,12 +193,13 @@ class TestParallelFrontier:
         par_composition, par_invariant, _ = build_closed_system(
             sliding_window_protocol(2), messages=2, capacity=2
         )
-        parallel = explore(
-            par_composition,
-            invariant=par_invariant,
-            max_depth=10_000_000,
-            workers=2,
-        )
+        with pytest.warns(DeprecationWarning, match="workers"):
+            parallel = explore(
+                par_composition,
+                invariant=par_invariant,
+                max_depth=10_000_000,
+                workers=2,
+            )
         assert parallel.states == serial.states
         assert parallel.truncated == serial.truncated
         assert parallel.violation is None and serial.violation is None
@@ -219,31 +214,21 @@ class TestParallelFrontier:
         par_composition, par_invariant, _ = build_closed_system(
             eager_protocol(), messages=2, capacity=2
         )
-        parallel = explore(
-            par_composition,
-            invariant=par_invariant,
-            max_depth=10_000_000,
-            workers=2,
-        )
+        with pytest.warns(DeprecationWarning, match="workers"):
+            parallel = explore(
+                par_composition,
+                invariant=par_invariant,
+                max_depth=10_000_000,
+                workers=2,
+            )
         assert serial.violation is not None
-        assert parallel.violation is not None
-        # Layer-merge barrier preserves BFS-shortest counterexamples.
-        assert len(parallel.violation[1]) == len(serial.violation[1])
-
-    def test_small_frontiers_fall_back_to_serial(self):
-        # Forcing the threshold to 0 exercises the pool path even on a
-        # tiny space; a huge threshold exercises the in-process path.
-        result_pooled = explore_parallel(
-            Counter(20), workers=2, parallel_threshold=0
-        )
-        result_serial = explore_parallel(
-            Counter(20), workers=2, parallel_threshold=10_000
-        )
-        assert result_pooled.states == result_serial.states == set(range(21))
+        assert parallel.violation == serial.violation
 
 
 class TestCompositionCaches:
-    """The satellite caches: name->index, task_of owners, memoization."""
+    """The satellite caches: name->index, task_of owners, and the
+    encoder's per-slice stepping memo that replaced composition-level
+    memoization."""
 
     def test_component_index_lookup(self):
         composition = Composition([Echo(), Forwarder()])
@@ -275,24 +260,32 @@ class TestCompositionCaches:
             composition.task_of(Action("ping", None, 1))
 
     def test_memoized_stepping_matches_uncached(self):
-        plain = Composition([Echo(), Forwarder()])
-        cached = Composition([Echo(), Forwarder()], memoize=True)
-        state = ((1, 2), (7,))
+        # Encoded expansion (per-slice memo) must yield exactly the
+        # composition's direct stepping, in the same order: enabled
+        # local actions first, then the offered input.
         from repro.ioa.actions import Action
 
-        for action in [
+        plain = Composition([Echo(), Forwarder()])
+        search = _CompositionSearch(Composition([Echo(), Forwarder()]))
+        encoder = search.encoder
+        state = ((1, 2), (7,))
+        encoded = encoder.encode(state)
+        for offered in [
             Action("pong", None, 1),
             Action("pong", None, 9),
             Action("ack", None, 7),
             Action("ping", None, 3),
         ]:
-            for _ in range(2):  # second round hits the caches
-                assert cached.transitions(state, action) == plain.transitions(
-                    state, action
-                )
-                assert tuple(cached.enabled_local_actions(state)) == tuple(
-                    plain.enabled_local_actions(state)
-                )
+            expected = [
+                (action, successor)
+                for action in [*plain.enabled_local_actions(state), offered]
+                for successor in plain.transitions(state, action)
+            ]
+            for _ in range(2):  # second round hits the memo
+                assert [
+                    (encoder.action_of_token[token], encoder.decode(succ))
+                    for token, succ in search.expand(encoded, [offered])
+                ] == expected
 
 
 class TestInternTable:

@@ -53,47 +53,55 @@ class TestDeprecationShims:
     """The shims must blame the *caller*, not themselves.
 
     ``stacklevel=2`` is only correct while the ``warnings.warn`` call
-    sits directly inside the public shim; these tests pin the reported
-    filename to the calling file so an added intermediate frame cannot
-    silently re-point the warning at library internals.
+    sits directly inside the public entry point; these tests pin the
+    reported filename to the calling file so an added intermediate
+    frame cannot silently re-point the warning at library internals.
+    ``workers=`` is a deprecated no-op, so the result must also equal
+    the serial one.
     """
 
-    def test_explore_reference_warning_names_caller_file(self):
+    @staticmethod
+    def deprecations(call):
         import warnings
-
-        from repro.ioa.explorer import explore_reference
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            explore_reference(Counter(3))
-        reports = [
+            result = call()
+        return result, [
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
-        assert len(reports) == 1
-        assert reports[0].filename == __file__
 
-    def test_scenario_report_warning_names_caller_file(self):
-        import random
-        import warnings
-
-        from repro.conformance.harness import (
-            FuzzConfig,
-            SubSeeds,
-            build_script,
-            build_system,
-            execute_script,
+    def test_explore_workers_warning_names_caller_file(self):
+        counter = Counter(3)
+        result, reports = self.deprecations(
+            lambda: explore(counter, invariant=lambda s: s != 1, workers=2)
         )
-
-        config = FuzzConfig(runs=1, messages=2)
-        subseeds = SubSeeds.derive(random.Random(3))
-        system = build_system("alternating_bit", "perfect", subseeds, config)
-        script = build_script(system, subseeds, config)
-        result = execute_script(system, script.actions, subseeds, config)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result.report(0.1, t="t", r="r")
-        reports = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
         assert len(reports) == 1
         assert reports[0].filename == __file__
+        serial = explore(counter, invariant=lambda s: s != 1)
+        assert result.states == serial.states
+        assert result.truncated == serial.truncated
+        assert result.violation == serial.violation
+
+    def test_reachable_states_workers_warning_names_caller_file(self):
+        states, reports = self.deprecations(
+            lambda: reachable_states(Counter(3), workers=2)
+        )
+        assert len(reports) == 1
+        assert reports[0].filename == __file__
+        assert states == reachable_states(Counter(3))
+
+    def test_verify_delivery_order_workers_warning_names_caller_file(self):
+        from repro.analysis import verify_delivery_order
+        from repro.protocols import eager_protocol
+
+        result, reports = self.deprecations(
+            lambda: verify_delivery_order(
+                eager_protocol(), messages=2, capacity=2, workers=2
+            )
+        )
+        assert len(reports) == 1
+        assert reports[0].filename == __file__
+        assert result == verify_delivery_order(
+            eager_protocol(), messages=2, capacity=2
+        )

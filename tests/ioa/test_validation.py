@@ -69,8 +69,10 @@ class TestValidateGeneric:
         assert result.states
 
     def test_validate_ignores_workers(self):
-        # validate forces the serial engine; workers must be a no-op.
-        with pytest.raises(InputEnablednessError):
+        # workers is a deprecated no-op; validation still runs.
+        with pytest.raises(InputEnablednessError), pytest.warns(
+            DeprecationWarning, match="workers"
+        ):
             explore(
                 Deaf(),
                 environment=offer_poke,
