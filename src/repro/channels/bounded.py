@@ -35,6 +35,7 @@ from typing import Hashable, Iterable, Optional, Sequence, Tuple
 from ..alphabets import Packet
 from ..ioa.actions import Action
 from ..ioa.automaton import Automaton
+from ..ioa.hashing import hash_once
 from ..ioa.signature import ActionSignature
 from .actions import (
     CRASH,
@@ -48,6 +49,7 @@ from .actions import (
 from .permissive import ChannelSurgeryError
 
 
+@hash_once
 @dataclass(frozen=True)
 class BoundedChannelState:
     """The state of a bounded-capacity channel.

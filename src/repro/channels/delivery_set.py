@@ -32,11 +32,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from ..ioa.hashing import hash_once
+
 
 class DeliverySetError(ValueError):
     """Raised when constructing an ill-formed delivery set."""
 
 
+@hash_once
 @dataclass(frozen=True)
 class DeliverySet:
     """A delivery set with finite prefix and FIFO tail (see module docs)."""

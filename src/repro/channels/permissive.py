@@ -29,6 +29,7 @@ from typing import Hashable, Iterable, Optional, Sequence, Tuple
 from ..alphabets import Packet
 from ..ioa.actions import Action
 from ..ioa.automaton import Automaton
+from ..ioa.hashing import hash_once
 from ..ioa.signature import ActionSignature
 from .actions import (
     CRASH,
@@ -46,6 +47,7 @@ class ChannelSurgeryError(ValueError):
     """Raised when a requested channel-state rewrite is not legal."""
 
 
+@hash_once
 @dataclass(frozen=True)
 class PermissiveChannelState:
     """The state of C-bar / C-hat.

@@ -43,7 +43,6 @@ from .pool import (
     PoolInfo,
     RunOutcome,
     RunTimeout,
-    StateFingerprint,
     auto_batch_size,
     execute_run,
     run_batch,
@@ -100,7 +99,6 @@ __all__ = [
     "STAB_ORACLES",
     "ShrinkResult",
     "StabilizationReport",
-    "StateFingerprint",
     "SubSeeds",
     "ViolationReport",
     "append_entries",

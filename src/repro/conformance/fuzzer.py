@@ -21,7 +21,7 @@ Runs are executed through :mod:`repro.conformance.pool`: the full
 sub-seed schedule is derived serially up front and chunked into
 batches, batches fan out to a persistent fork pool (``workers > 1``)
 or run in-process, and the master merges outcomes in run-index order
--- interning each run's (batch-deduplicated) state fingerprints,
+-- interning each run's (batch-deduplicated) distinct states,
 assigning corpus credit and replaying each run's captured obs events
 -- so a parallel campaign is byte-identical to a serial one whatever
 the worker count or batch size.
@@ -214,7 +214,7 @@ def fuzz_campaign(
     neither ``workers`` nor ``batch_size`` is part of the outcome: the
     sub-seed schedule is derived serially before any run executes,
     workers return pure per-run outcomes in per-batch envelopes, and
-    the master interns state fingerprints and assigns corpus/coverage
+    the master interns visited states and assigns corpus/coverage
     credit in run-index order, so ``workers=N`` is byte-identical to
     ``workers=1`` at any batching (violations, repro documents, corpus
     entries, counters, trace events).  ``batch_size`` fixes how many
@@ -306,9 +306,10 @@ def fuzz_campaign(
                 tracer.absorb(outcome.pre_events)
                 # ``state_values`` are already deduplicated (within the
                 # run, and against earlier runs of the same batch, whose
-                # values this loop interned first), so every value is
-                # hashed once here -- the serial credit arithmetic and
-                # the table's insertion order are unchanged.
+                # values this loop interned first), so each probe is a
+                # distinct value whose slices hash once per instance --
+                # the serial credit arithmetic and the table's insertion
+                # order are unchanged.
                 before = len(table)
                 for state in outcome.state_values:
                     table.intern(state)

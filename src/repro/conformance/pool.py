@@ -25,9 +25,9 @@ Why batches rather than one task per run (the PR-5 design):
 * **in-worker shrinking**: ddmin shrinking and repro packaging run
   inside :func:`execute_run`, i.e. inside the worker -- the master
   never re-executes a scenario;
-* **compact streaming**: a :class:`BatchOutcome` carries per-run state
-  *fingerprints deduplicated across the whole batch* (a state value is
-  shipped at most once per batch, attached to the run that saw it
+* **compact streaming**: a :class:`BatchOutcome` carries per-run
+  distinct states *deduplicated across the whole batch* (a state value
+  is shipped at most once per batch, attached to the run that saw it
   first) and the batch's obs event chunks, so the payload back to the
   master shrinks with cross-run state overlap.
 
@@ -97,68 +97,24 @@ class RunTimeout(Exception):
     """A fuzz run exceeded the campaign's per-run wall-clock budget."""
 
 
-class StateFingerprint:
-    """A visited state bundled with its structural hash, precomputed
-    worker-side.
-
-    Composed fuzz states are deep tuples of frozen dataclasses dragging
-    per-run delivery-set prefixes (hundreds of ints), so ``hash(state)``
-    is the single most expensive operation of the campaign master's
-    merge loop -- and CPython recomputes it on *every* dict/set probe.
-    The worker hashes each state exactly once (it needs the hash for
-    its own dedup anyway) and ships the cached value alongside, so the
-    master's :class:`~repro.ioa.engine.interning.InternTable` probes
-    cost an int comparison instead of a deep re-hash.
-
-    Only the *hash* is cached; equality still compares the underlying
-    state values, so interning credit -- and with it the serial/pooled
-    byte-identity contract -- is decided by value equality exactly as
-    before.  (The cached hash is consistent between master and forked
-    workers because fork inherits the interpreter's hash seed, and it
-    never leaves the process in any output artifact.)
-    """
-
-    __slots__ = ("value", "cached_hash")
-
-    def __init__(self, value: State, cached_hash: Optional[int] = None):
-        self.value = value
-        self.cached_hash = hash(value) if cached_hash is None else cached_hash
-
-    def __hash__(self) -> int:
-        return self.cached_hash
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, StateFingerprint):
-            return self.value == other.value
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StateFingerprint({self.value!r})"
-
-    def __getstate__(self):
-        return (self.value, self.cached_hash)
-
-    def __setstate__(self, state):
-        self.value, self.cached_hash = state
-
-
 @dataclass
 class RunOutcome:
     """Everything one fuzz run sends back to the campaign master.
 
     ``state_values`` are the run's *distinct* visited states in
-    first-occurrence order, as hash-carrying
-    :class:`StateFingerprint` wrappers -- the fingerprints the master
+    first-occurrence order -- plain state values, which the master
     interns (in run-index order) to assign coverage credit, so workers
     never touch the shared
-    :class:`~repro.ioa.engine.interning.InternTable`.  Deduplicating
-    within the run does not change the interning credit (a duplicate
-    can never grow the table), and in batched mode the worker further
-    strips values already shipped by an earlier run of the *same
-    batch* (see :func:`run_batch`) -- those are already in the master
-    table by the time this run is merged, so the credit and the
-    table's insertion order still come out byte-identical to a serial
-    campaign.
+    :class:`~repro.ioa.engine.interning.InternTable`.  Each slice type
+    hashes once per instance and never pickles its hash, so a value
+    shipped from a worker is re-hashed once in the master, with the
+    master's own hash seed.  Deduplicating within the run does not
+    change the interning credit (a duplicate can never grow the
+    table), and in batched mode the worker further strips values
+    already shipped by an earlier run of the *same batch* (see
+    :func:`run_batch`) -- those are already in the master table by the
+    time this run is merged, so the credit and the table's insertion
+    order still come out byte-identical to a serial campaign.
 
     ``pre_events`` and ``post_events`` are the run's captured obs
     chunks -- everything emitted before and after the interning point
@@ -174,7 +130,7 @@ class RunOutcome:
     behavior_length: int = 0
     stabilization_time: Optional[int] = None
     stab_converged: Optional[bool] = None
-    state_values: Tuple[StateFingerprint, ...] = ()
+    state_values: Tuple[State, ...] = ()
     found: List[OracleViolation] = field(default_factory=list)
     violations: List["ViolationReport"] = field(default_factory=list)  # noqa: F821
     oracle_checks: int = 0
@@ -285,22 +241,6 @@ def _capturing(capture: bool):
     captured.extend(sink.events)
 
 
-def _distinct_states(
-    result: "ScenarioResult",  # noqa: F821
-) -> Tuple[StateFingerprint, ...]:
-    """Distinct states of one run, fingerprinted, first-occurrence order.
-
-    Dedup happens in the encoded domain
-    (:meth:`~repro.sim.runner.ScenarioResult.distinct_states`, via the
-    identity-memoized stream encoder), so only the *distinct* states
-    are ever deep-hashed -- once each, inside the fingerprint
-    constructor, where the master-bound cached hash is computed anyway.
-    """
-    return tuple(
-        StateFingerprint(state) for state in result.distinct_states()
-    )
-
-
 def execute_run(
     protocol: str,
     channel: str,
@@ -393,7 +333,7 @@ def execute_run(
         behavior_length=len(result.behavior),
         stabilization_time=stab_time,
         stab_converged=stab_converged,
-        state_values=_distinct_states(result),
+        state_values=tuple(result.distinct_states()),
         found=found,
         violations=packaged,
         oracle_checks=oracle_checks,

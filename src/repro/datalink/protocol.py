@@ -39,6 +39,7 @@ from typing import Any, Callable, FrozenSet, Hashable, Iterable, Optional, Tuple
 from ..alphabets import Message, Packet
 from ..ioa.actions import Action, action_family
 from ..ioa.automaton import Automaton
+from ..ioa.hashing import hash_once
 from ..ioa.signature import ActionSignature
 from ..channels.actions import (
     CRASH,
@@ -53,6 +54,7 @@ from .actions import RECEIVE_MSG, SEND_MSG, receive_msg
 Core = Any
 
 
+@hash_once
 @dataclass(frozen=True)
 class HostState:
     """State of a protocol automaton: protocol core + ghost uid counter."""

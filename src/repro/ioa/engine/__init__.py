@@ -17,7 +17,7 @@ pieces are exposed here for direct use and benchmarking:
 
 from .core import ExplorationResult, explore_engine
 from .diskstore import DiskStateSet, DiskStore, explore_disk
-from .encoding import EncodingOverflow, StateEncoder, StreamEncoder
+from .encoding import EncodingOverflow, StateEncoder
 from .interning import InternTable
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ExplorationResult",
     "InternTable",
     "StateEncoder",
-    "StreamEncoder",
     "explore_disk",
     "explore_engine",
 ]

@@ -20,16 +20,11 @@ counterexample traces are invariant under the representation.  It does
 is process-local: codes must never cross process boundaries or runs
 (the same state can receive different ids in a different exploration
 order).
-
-:class:`StreamEncoder` is the cheap cousin used on execution streams
-(the fuzz harness): consecutive states of a run share almost all their
-slice *objects*, so an ``id()``-based memo turns per-state deep hashing
-into a few pointer lookups.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..actions import Action
 from ..automaton import State
@@ -39,7 +34,6 @@ from .interning import InternTable
 __all__ = [
     "EncodingOverflow",
     "StateEncoder",
-    "StreamEncoder",
 ]
 
 #: Total bit budget of a packed state.  64 keeps the key a single
@@ -256,60 +250,3 @@ class StateEncoder:
     def slices_interned(self) -> int:
         """Total distinct slice values across all slots."""
         return sum(len(table) for table in self.slice_tables)
-
-
-class StreamEncoder:
-    """Identity-memoized encoder for execution-state streams.
-
-    Consecutive states of one simulated run share almost every slice
-    *object* (a step rebuilds only the 1-2 slices its action owns), so
-    the fuzz harness can fingerprint a whole execution with a handful
-    of deep hashes: each slice object's id is memoized to its slice id
-    on first sight, and every later state containing the same object
-    encodes with pointer lookups only.
-
-    The memo keeps a reference to every memoized object
-    (``_keepalive``), so ids cannot be recycled while the encoder is
-    alive.  Process-local, like all encodings.
-    """
-
-    __slots__ = ("_tables", "_id_memo", "_keepalive")
-
-    def __init__(self) -> None:
-        self._tables: List[InternTable] = []
-        self._id_memo: List[Dict[int, int]] = []
-        self._keepalive: List[Any] = []
-
-    def key_of(self, state: Sequence[Any]) -> Tuple[int, ...]:
-        """The flat tuple code of one state of the stream."""
-        width = len(state)
-        while len(self._tables) < width:
-            self._tables.append(InternTable())
-            self._id_memo.append({})
-        encoded = []
-        for slot, slice_state in enumerate(state):
-            memo = self._id_memo[slot]
-            ident = id(slice_state)
-            sid = memo.get(ident)
-            if sid is None:
-                sid = self._tables[slot].intern(slice_state)
-                memo[ident] = sid
-                self._keepalive.append(slice_state)
-            encoded.append(sid)
-        return tuple(encoded)
-
-    def distinct(self, states: Iterable[Sequence[Any]]) -> List[Any]:
-        """First-occurrence distinct states of a stream.
-
-        Equality is decided by the encoding (value equality via the
-        intern tables), but the common case -- an unchanged slice
-        object -- never re-hashes anything.
-        """
-        seen = set()
-        out: List[Any] = []
-        for state in states:
-            key = self.key_of(state)
-            if key not in seen:
-                seen.add(key)
-                out.append(state)
-        return out

@@ -63,6 +63,14 @@ def apply_inputs(
     return fragment
 
 
+class _TaskNames(dict):
+    """``repr`` of each task, computed on first lookup."""
+
+    def __missing__(self, task: Hashable) -> str:
+        name = self[task] = repr(task)
+        return name
+
+
 def run_to_quiescence(
     automaton: Automaton,
     state: State,
@@ -96,6 +104,9 @@ def run_to_quiescence(
     fragment = ExecutionFragment.initial(state)
     current = state
     last_served: Dict[Hashable, int] = {}
+    # Each task's repr (the tie-break among never-served tasks),
+    # computed once per run rather than on every step.
+    names = _TaskNames()
     clock = 0
     for _ in range(max_steps):
         enabled = list(automaton.enabled_local_actions(current))
@@ -107,7 +118,7 @@ def run_to_quiescence(
         # Serve the task that has waited longest (never-served tasks first).
         task = min(
             by_task,
-            key=lambda t: (last_served.get(t, -1), repr(t)),
+            key=lambda t: (last_served.get(t, -1), names[t]),
         )
         candidates = by_task[task]
         action = tie_break(candidates) if tie_break else candidates[0]

@@ -35,16 +35,13 @@ class ScenarioResult:
     def distinct_states(self) -> list:
         """The run's distinct visited states, first-occurrence order.
 
-        Deduplicated through a
-        :class:`~repro.ioa.engine.encoding.StreamEncoder`: consecutive
-        states of an execution share almost all their slice objects, so
-        the common probe is a pointer lookup and each distinct slice is
-        deep-hashed once -- the representation the fuzz pool ships its
-        coverage fingerprints from.
+        Deduplicated by value.  Consecutive states of an execution share
+        almost all their slice objects, and every slice type hashes once
+        per instance (:func:`~repro.ioa.hashing.hash_once`), so each
+        probe re-hashes only the slices the step rebuilt -- these are
+        the coverage values the fuzz pool ships.
         """
-        from ..ioa.engine.encoding import StreamEncoder
-
-        return StreamEncoder().distinct(self.fragment.states)
+        return list(dict.fromkeys(self.fragment.states))
 
     def report(
         self,

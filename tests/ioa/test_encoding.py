@@ -18,11 +18,7 @@ from hypothesis import strategies as st
 
 from repro.conformance.arbitrary import component_state_pools
 from repro.conformance.harness import FuzzConfig, SubSeeds, build_system
-from repro.ioa.engine.encoding import (
-    EncodingOverflow,
-    StateEncoder,
-    StreamEncoder,
-)
+from repro.ioa.engine.encoding import EncodingOverflow, StateEncoder
 
 _SYSTEM = build_system(
     "alternating_bit",
@@ -114,27 +110,3 @@ class TestOverflow:
         ):
             assert encoder.decode(encoder.encode(state)) == state
 
-
-class TestStreamEncoder:
-    @given(
-        picks=st.lists(
-            st.tuples(
-                *(
-                    st.integers(0, len(pool) - 1)
-                    for pool in _POOLS
-                )
-            ),
-            max_size=30,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_distinct_matches_order_preserving_dedup(self, picks):
-        states = [
-            tuple(pool[i] for pool, i in zip(_POOLS, pick))
-            for pick in picks
-        ]
-        expected = []
-        for state in states:
-            if state not in expected:
-                expected.append(state)
-        assert StreamEncoder().distinct(states) == expected

@@ -161,3 +161,85 @@ class TestFairExtension:
         prefix = apply_inputs(echo, (), [ping(9)])
         fragment = fair_extension(echo, prefix)
         assert fragment.actions[: len(prefix)] == prefix.actions
+
+
+# ----------------------------------------------------------------------
+# Pinned schedules: the fair scheduler's tie-break drives every fuzz
+# run and load session, so whole campaigns pin its exact order.
+# ----------------------------------------------------------------------
+
+#: sha256 digests of :func:`_fuzz_digest` / :func:`_load_digest`,
+#: recorded before each task's repr was computed once per run instead
+#: of on every step; the tie-break order, and so every output, must
+#: not change.
+PINNED_FUZZ_NAIVE_NONFIFO = (
+    "1f94e24c46b60db5baf76e40a15be61ae1e8558545958bf488117a8c9e19397e"
+)
+PINNED_FUZZ_ABP_ARBITRARY = (
+    "8fa91589b684de2cd7176e0291001051f83a6deee8bb4e463f8831a6d8b498cb"
+)
+PINNED_LOAD_ABP_NONFIFO = (
+    "679623b519271ef151a33774d33747a258036c7f1b973b3039f0b5175f5bb524"
+)
+
+
+def _fuzz_digest(protocol, channel, seed, **knobs):
+    import hashlib
+    import json
+
+    from repro.conformance.fuzzer import fuzz_campaign
+    from repro.conformance.harness import FuzzConfig
+    from repro.sim.load import normalized_report
+
+    result = fuzz_campaign(protocol, channel, seed, FuzzConfig(**knobs))
+    document = {
+        "report": normalized_report(result.report().to_dict()),
+        "runs": [
+            [
+                run.index,
+                run.steps,
+                run.quiescent,
+                run.behavior_length,
+                run.new_states,
+                run.stabilization_time,
+            ]
+            for run in result.runs
+        ],
+        "repros": [violation.repro for violation in result.violations],
+    }
+    encoded = json.dumps(document, sort_keys=True, default=str)
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+def _load_digest():
+    import hashlib
+    import json
+
+    from repro.sim.load import LoadConfig, normalized_report, run_load
+
+    result = run_load("alternating_bit", "nonfifo", 0, LoadConfig(sessions=60))
+    encoded = json.dumps(
+        normalized_report(result.report().to_dict()), sort_keys=True
+    )
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+class TestPinnedSchedules:
+    def test_fuzz_campaign_with_shrinking(self):
+        digest = _fuzz_digest("naive", "nonfifo", 7, runs=6)
+        assert digest == PINNED_FUZZ_NAIVE_NONFIFO
+
+    def test_corrupted_start_fuzz_campaign(self):
+        digest = _fuzz_digest(
+            "alternating_bit",
+            "bounded_nonfifo",
+            3,
+            runs=5,
+            messages=4,
+            max_steps=4000,
+            init_mode="arbitrary",
+        )
+        assert digest == PINNED_FUZZ_ABP_ARBITRARY
+
+    def test_load_run(self):
+        assert _load_digest() == PINNED_LOAD_ABP_NONFIFO

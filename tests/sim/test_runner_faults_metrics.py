@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.alphabets import MessageFactory
+from repro.conformance.arbitrary import component_state_pools
+from repro.conformance.harness import FuzzConfig, SubSeeds, build_system
 from repro.datalink import dl2, dl3, dl_well_formed
 from repro.protocols import (
     alternating_bit_protocol,
@@ -21,8 +28,19 @@ from repro.sim import (
     run_batch,
     run_scenario,
 )
+from repro.ioa.execution import ExecutionFragment
+from repro.sim.runner import ScenarioResult
 
 from ..conftest import deliver_all
+
+_SYSTEM = build_system(
+    "alternating_bit",
+    "nonfifo",
+    SubSeeds.derive(random.Random(1011)),
+    FuzzConfig(messages=2, capacity=2, horizon=16),
+)
+#: Locally-reachable slices per slot; composed freely below.
+_POOLS = component_state_pools(_SYSTEM)
 
 
 class TestFaultScripts:
@@ -173,6 +191,45 @@ class TestRunner:
         )
         assert len(results) == 3
         assert all(r.quiescent for r in results)
+
+
+class TestDistinctStates:
+    @given(
+        picks=st.lists(
+            st.tuples(
+                st.booleans(),
+                *(st.integers(0, len(pool) - 1) for pool in _POOLS),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_first_occurrence_order_dedup_by_value(self, picks):
+        # A ``clone`` pick is an equal state built from distinct (deep
+        # copied, never hashed) objects: dedup must go by value.
+        states = []
+        for clone, *indices in picks:
+            state = tuple(pool[i] for pool, i in zip(_POOLS, indices))
+            states.append(copy.deepcopy(state) if clone else state)
+        wake = _SYSTEM.wake_t()
+        result = ScenarioResult(
+            fragment=ExecutionFragment(
+                tuple(states), (wake,) * (len(states) - 1)
+            ),
+            behavior=(),
+            quiescent=True,
+        )
+        expected = []
+        for state in states:
+            if state not in expected:
+                expected.append(state)
+        distinct = result.distinct_states()
+        assert distinct == expected
+        # The first occurrence of each value is the one kept.
+        assert all(
+            kept is next(s for s in states if s == kept) for kept in distinct
+        )
 
 
 class TestMetrics:
