@@ -1,9 +1,12 @@
 /* Packed-key BFS core behind repro.ioa.engine.accel.
  *
- * One exploration = one AccelSearch.  States are 64-bit packed codes
- * produced by repro.ioa.engine.encoding.StateEncoder (bits_per_slot
- * bits of slice id per component slot); the search never sees a Python
- * state object.  All hot-path data lives in flat C arrays:
+ * One exploration = one AccelSearch, driven one BFS layer per call:
+ * seed() installs the start key and each expand() expands the current
+ * layer, so the Python side keeps the depth loop (and with it the
+ * per-layer trace spans and the depth budget).  States are 64-bit
+ * packed codes produced by repro.ioa.engine.encoding.StateEncoder
+ * (bits_per_slot bits of slice id per component slot); the search
+ * never sees a Python state object.  All hot-path data lives in flat C arrays:
  *
  *   - visited: open-addressing table key -> entry index, plus
  *     insertion-order entry arrays (key, parent index, action token)
@@ -39,6 +42,11 @@
 #define PUSH_VIOLATION 2
 #define PUSH_TRUNCATED 3
 
+/* expand() outcomes */
+#define EXPAND_DONE 0
+#define EXPAND_VIOLATION 1
+#define EXPAND_TRUNCATED 2
+
 /* splitmix64 finalizer: cheap, well-mixed hash for 64-bit keys */
 static inline uint64_t
 hash64(uint64_t x)
@@ -66,6 +74,8 @@ typedef struct {
     int64_t *parents;   /* entry index of predecessor, -1 for start */
     int32_t *tokens;    /* action token taken from predecessor */
     Py_ssize_t count, cap;
+    /* the layer expand() works on next: entries [layer_start, layer_end) */
+    Py_ssize_t layer_start, layer_end;
 
     /* visited: open addressing, key -> entry index (-1 = empty) */
     uint64_t *vis_key;
@@ -545,8 +555,7 @@ inv_cached(AccelSearch *self, PyObject *cb, uint64_t key, uint64_t proj_mask)
 
 static int
 push(AccelSearch *self, uint64_t key, Py_ssize_t parent, int32_t token,
-     PyObject *invariant_cb, uint64_t proj_mask, Py_ssize_t max_states,
-     Py_ssize_t *violation_index)
+     PyObject *invariant_cb, uint64_t proj_mask, Py_ssize_t max_states)
 {
     self->transitions++;
     Py_ssize_t slot_pos = 0;
@@ -571,9 +580,8 @@ push(AccelSearch *self, uint64_t key, Py_ssize_t parent, int32_t token,
         if (verdict < 0)
             return -1;
         if (!verdict) {
-            /* mirror the engine: the violating state is reported even
-               when it is the state that would have burst the budget */
-            *violation_index = idx;
+            /* mirror the engine: the violating state (the last entry)
+               is reported even when it would have burst the budget */
             return PUSH_VIOLATION;
         }
     }
@@ -581,7 +589,7 @@ push(AccelSearch *self, uint64_t key, Py_ssize_t parent, int32_t token,
         /* budget spent: drop the overflow entry and stop the whole
            search at once (the stale hash slot is harmless -- nothing
            probes after this) */
-        self->count = max_states;
+        self->count = idx;
         return PUSH_TRUNCATED;
     }
     return PUSH_OK;
@@ -595,6 +603,8 @@ static void
 accel_reset(AccelSearch *self)
 {
     self->count = 0;
+    self->layer_start = 0;
+    self->layer_end = 0;
     memset(self->vis_idx, 0xFF, (size_t)self->vis_cap * sizeof(int64_t));
     self->vis_used = 0;
     memset(self->inv_state, 0, (size_t)self->inv_cap * sizeof(int8_t));
@@ -605,23 +615,18 @@ accel_reset(AccelSearch *self)
     self->invariant_calls = 0;
 }
 
+/* seed(start_key): reset the search to the one-entry start layer (the
+   caller has already invariant-checked the start state, matching the
+   pure-Python engine's preamble). */
 static PyObject *
-AccelSearch_run(AccelSearch *self, PyObject *args)
+AccelSearch_seed(AccelSearch *self, PyObject *args)
 {
     unsigned long long start_key_ull;
-    Py_ssize_t max_states, max_depth;
-    PyObject *invariant_cb;
-    unsigned long long proj_mask_ull;
-    if (!PyArg_ParseTuple(args, "KnnOK", &start_key_ull, &max_states,
-                          &max_depth, &invariant_cb, &proj_mask_ull))
+    if (!PyArg_ParseTuple(args, "K", &start_key_ull))
         return NULL;
     uint64_t start_key = (uint64_t)start_key_ull;
-    uint64_t proj_mask = (uint64_t)proj_mask_ull;
 
     accel_reset(self);
-
-    /* seed the search (the caller has already invariant-checked the
-       start state, matching the pure-Python engine's preamble) */
     Py_ssize_t slot_pos = 0;
     (void)vis_probe(self, start_key, &slot_pos);
     self->keys[0] = start_key;
@@ -631,134 +636,141 @@ AccelSearch_run(AccelSearch *self, PyObject *args)
     self->vis_key[slot_pos] = start_key;
     self->vis_idx[slot_pos] = 0;
     self->vis_used = 1;
+    self->layer_start = 0;
+    self->layer_end = 1;
+    Py_RETURN_NONE;
+}
+
+/* expand(max_states, invariant_cb, proj_mask) -> (status, fired, width):
+   expand every entry of the current layer, then make the entries it
+   appended the current layer.  status is EXPAND_DONE, EXPAND_VIOLATION
+   (the violating state is the last entry) or EXPAND_TRUNCATED; fired
+   counts the transitions taken, width the size of the next layer. */
+static PyObject *
+AccelSearch_expand(AccelSearch *self, PyObject *args)
+{
+    Py_ssize_t max_states;
+    PyObject *invariant_cb;
+    unsigned long long proj_mask_ull;
+    if (!PyArg_ParseTuple(args, "nOK", &max_states, &invariant_cb,
+                          &proj_mask_ull))
+        return NULL;
+    uint64_t proj_mask = (uint64_t)proj_mask_ull;
 
     int n = self->n;
     int bits = self->bits;
     uint64_t mask = self->mask;
-    int status = 0;
-    int truncated = 0;
-    Py_ssize_t violation_index = -1;
-    Py_ssize_t layer_start = 0;
-    Py_ssize_t depth = 0;
+    int status = EXPAND_DONE;
+    unsigned long long fired_before = self->transitions;
+    Py_ssize_t layer_end = self->layer_end;
 
-    while (layer_start < self->count) {
-        if (depth >= max_depth) {
-            truncated = 1;
-            break;
-        }
-        Py_ssize_t layer_end = self->count;
-        for (Py_ssize_t i = layer_start; i < layer_end; i++) {
-            uint64_t key = self->keys[i];
-            for (int slot = 0; slot < n; slot++) {
-                uint32_t sid = (uint32_t)((key >> (slot * bits)) & mask);
-                int32_t eoff, ecnt;
-                if (get_enabled(self, slot, sid, &eoff, &ecnt) < 0)
-                    return NULL;
-                for (int32_t p = 0; p < ecnt; p++) {
-                    int32_t token = self->pair_pool[eoff + p];
-                    int32_t ooff = self->tok_off[token];
-                    int32_t ocnt = self->tok_cnt[token];
-                    if (ocnt == 0)
-                        continue;
-                    if (ocnt == 1) {
-                        int oslot = (int)self->owner_pool[ooff];
-                        int oshift = oslot * bits;
-                        uint32_t osid =
-                            (uint32_t)((key >> oshift) & mask);
-                        int32_t soff, scnt;
-                        if (get_steps(self, oslot, osid, token, &soff,
-                                      &scnt) < 0)
-                            return NULL;
-                        uint64_t cleared = key & ~(mask << oshift);
-                        for (int32_t s = 0; s < scnt; s++) {
-                            uint64_t nk =
-                                cleared |
-                                ((uint64_t)(uint32_t)
-                                     self->succ_pool[soff + s]
-                                 << oshift);
-                            int rc = push(self, nk, i, token, invariant_cb,
-                                          proj_mask, max_states,
-                                          &violation_index);
-                            if (rc < 0)
-                                return NULL;
-                            if (rc == PUSH_VIOLATION) {
-                                status = 1;
-                                goto done;
-                            }
-                            if (rc == PUSH_TRUNCATED) {
-                                truncated = 1;
-                                goto done;
-                            }
-                        }
-                        continue;
-                    }
-                    /* shared action: cross-product over owner slots,
-                       last owner varying fastest */
-                    int oslots[ACCEL_MAX_SLOTS];
-                    int32_t soffs[ACCEL_MAX_SLOTS];
-                    int32_t scnts[ACCEL_MAX_SLOTS];
-                    int32_t idxs[ACCEL_MAX_SLOTS];
-                    int enabled_everywhere = 1;
-                    for (int32_t k = 0; k < ocnt; k++) {
-                        int oslot = (int)self->owner_pool[ooff + k];
-                        uint32_t osid =
-                            (uint32_t)((key >> (oslot * bits)) & mask);
-                        int32_t soff, scnt;
-                        if (get_steps(self, oslot, osid, token, &soff,
-                                      &scnt) < 0)
-                            return NULL;
-                        if (scnt == 0) {
-                            enabled_everywhere = 0;
-                            break;
-                        }
-                        oslots[k] = oslot;
-                        soffs[k] = soff;
-                        scnts[k] = scnt;
-                        idxs[k] = 0;
-                    }
-                    if (!enabled_everywhere)
-                        continue;
-                    for (;;) {
-                        uint64_t nk = key;
-                        for (int32_t k = 0; k < ocnt; k++) {
-                            int oshift = oslots[k] * bits;
-                            nk = (nk & ~(mask << oshift)) |
-                                 ((uint64_t)(uint32_t)self->succ_pool
-                                      [soffs[k] + idxs[k]]
-                                  << oshift);
-                        }
+    for (Py_ssize_t i = self->layer_start; i < layer_end; i++) {
+        uint64_t key = self->keys[i];
+        for (int slot = 0; slot < n; slot++) {
+            uint32_t sid = (uint32_t)((key >> (slot * bits)) & mask);
+            int32_t eoff, ecnt;
+            if (get_enabled(self, slot, sid, &eoff, &ecnt) < 0)
+                return NULL;
+            for (int32_t p = 0; p < ecnt; p++) {
+                int32_t token = self->pair_pool[eoff + p];
+                int32_t ooff = self->tok_off[token];
+                int32_t ocnt = self->tok_cnt[token];
+                if (ocnt == 0)
+                    continue;
+                if (ocnt == 1) {
+                    int oslot = (int)self->owner_pool[ooff];
+                    int oshift = oslot * bits;
+                    uint32_t osid = (uint32_t)((key >> oshift) & mask);
+                    int32_t soff, scnt;
+                    if (get_steps(self, oslot, osid, token, &soff, &scnt) < 0)
+                        return NULL;
+                    uint64_t cleared = key & ~(mask << oshift);
+                    for (int32_t s = 0; s < scnt; s++) {
+                        uint64_t nk =
+                            cleared |
+                            ((uint64_t)(uint32_t)self->succ_pool[soff + s]
+                             << oshift);
                         int rc = push(self, nk, i, token, invariant_cb,
-                                      proj_mask, max_states,
-                                      &violation_index);
+                                      proj_mask, max_states);
                         if (rc < 0)
                             return NULL;
                         if (rc == PUSH_VIOLATION) {
-                            status = 1;
+                            status = EXPAND_VIOLATION;
                             goto done;
                         }
                         if (rc == PUSH_TRUNCATED) {
-                            truncated = 1;
+                            status = EXPAND_TRUNCATED;
                             goto done;
                         }
-                        int32_t k = ocnt - 1;
-                        while (k >= 0) {
-                            if (++idxs[k] < scnts[k])
-                                break;
-                            idxs[k] = 0;
-                            k--;
-                        }
-                        if (k < 0)
-                            break;
                     }
+                    continue;
+                }
+                /* shared action: cross-product over owner slots, last
+                   owner varying fastest */
+                int oslots[ACCEL_MAX_SLOTS];
+                int32_t soffs[ACCEL_MAX_SLOTS];
+                int32_t scnts[ACCEL_MAX_SLOTS];
+                int32_t idxs[ACCEL_MAX_SLOTS];
+                int enabled_everywhere = 1;
+                for (int32_t k = 0; k < ocnt; k++) {
+                    int oslot = (int)self->owner_pool[ooff + k];
+                    uint32_t osid =
+                        (uint32_t)((key >> (oslot * bits)) & mask);
+                    int32_t soff, scnt;
+                    if (get_steps(self, oslot, osid, token, &soff, &scnt) < 0)
+                        return NULL;
+                    if (scnt == 0) {
+                        enabled_everywhere = 0;
+                        break;
+                    }
+                    oslots[k] = oslot;
+                    soffs[k] = soff;
+                    scnts[k] = scnt;
+                    idxs[k] = 0;
+                }
+                if (!enabled_everywhere)
+                    continue;
+                for (;;) {
+                    uint64_t nk = key;
+                    for (int32_t k = 0; k < ocnt; k++) {
+                        int oshift = oslots[k] * bits;
+                        nk = (nk & ~(mask << oshift)) |
+                             ((uint64_t)(uint32_t)
+                                  self->succ_pool[soffs[k] + idxs[k]]
+                              << oshift);
+                    }
+                    int rc = push(self, nk, i, token, invariant_cb,
+                                  proj_mask, max_states);
+                    if (rc < 0)
+                        return NULL;
+                    if (rc == PUSH_VIOLATION) {
+                        status = EXPAND_VIOLATION;
+                        goto done;
+                    }
+                    if (rc == PUSH_TRUNCATED) {
+                        status = EXPAND_TRUNCATED;
+                        goto done;
+                    }
+                    int32_t k = ocnt - 1;
+                    while (k >= 0) {
+                        if (++idxs[k] < scnts[k])
+                            break;
+                        idxs[k] = 0;
+                        k--;
+                    }
+                    if (k < 0)
+                        break;
                 }
             }
         }
-        layer_start = layer_end;
-        depth++;
     }
 
 done:
-    return Py_BuildValue("(iin)", status, truncated, violation_index);
+    self->layer_start = layer_end;
+    self->layer_end = self->count;
+    return Py_BuildValue("(iKn)", status,
+                         self->transitions - fired_before,
+                         self->count - layer_end);
 }
 
 static PyObject *
@@ -927,9 +939,12 @@ AccelSearch_dealloc(AccelSearch *self)
 }
 
 static PyMethodDef AccelSearch_methods[] = {
-    {"run", (PyCFunction)AccelSearch_run, METH_VARARGS,
-     "run(start_key, max_states, max_depth, invariant_cb, proj_mask)\n"
-     "-> (status, truncated, violation_index); status 1 = violation."},
+    {"seed", (PyCFunction)AccelSearch_seed, METH_VARARGS,
+     "seed(start_key): restart the search from one start entry."},
+    {"expand", (PyCFunction)AccelSearch_expand, METH_VARARGS,
+     "expand(max_states, invariant_cb, proj_mask) -> (status, fired, "
+     "width)\nExpand the current BFS layer; status 0 = done, 1 = "
+     "violation (last entry), 2 = truncated."},
     {"count", (PyCFunction)AccelSearch_count, METH_NOARGS,
      "Number of visited entries."},
     {"keys", (PyCFunction)AccelSearch_keys, METH_NOARGS,

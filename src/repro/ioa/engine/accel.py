@@ -1,26 +1,32 @@
 """Compiled packed-key exploration backend.
 
-:func:`explore_accel` runs the bounded BFS of
-:func:`~repro.ioa.explorer.explore` inside a small C extension
-(``_accel.c``): states travel as 64-bit packed codes from the shared
-:class:`~repro.ioa.engine.encoding.StateEncoder`, the visited table and
-the per-slice stepping memos are flat C hash tables, and Python is only
-re-entered on cache misses -- once per distinct (slice, action) step,
-once per distinct slice's enabled set, and once per distinct invariant
-projection.  The expansion order and the budget/violation semantics
-replicate the pure-Python engine exactly, so the three-way differential
-suite (reference vs engine vs accel) can require identical results.
+:func:`explore_accel` is the default path of
+:func:`~repro.ioa.explorer.explore` for every eligible call (a
+:class:`Composition`, no ``environment``, no ``validate``; see
+:func:`ineligible_reason`).  It runs the bounded BFS inside a small C
+extension (``_accel.c``): states travel as 64-bit packed codes from the
+shared :class:`~repro.ioa.engine.encoding.StateEncoder`, the visited
+table and the per-slice stepping memos are flat C hash tables, and
+Python is only re-entered once per BFS layer (the depth loop, with its
+``explore.layer`` span) and on cache misses -- once per distinct
+(slice, action) step, once per distinct slice's enabled set, and once
+per distinct invariant projection.  The expansion order and the
+budget/violation semantics replicate the pure-Python engine exactly,
+so the differential suite (reference vs engine vs accel vs disk) can
+require identical results.
 
 The extension is built on demand with the system C compiler (``cc -O2
--shared -fPIC``) into a per-source-hash cache directory -- no package
-installation involved -- and loaded from there.  Anything that prevents
-the fast path (no compiler, a non-composition automaton, an environment
-callback, ``validate=True``, or a state space that outgrows the packed
-bit budget) raises :class:`AccelUnavailable`, which
-:func:`~repro.ioa.explorer.explore` turns into a silent fallback to the
-pure-Python engine (counted as ``explore.accel_fallback``).  Set
-``REPRO_ACCEL_REQUIRE=1`` to turn the fallback into a hard error (CI
-does, so the differential job cannot silently skip the compiled path).
+-shared -fPIC``, honouring ``$CC``) into a per-source-hash cache
+directory -- no package installation involved -- and loaded from
+there.  An ineligible call never reaches this module's search: the
+dispatcher sends it straight to the pure-Python engine.  An eligible
+call that still cannot run here (no compiler, a load error, or a state
+space that outgrows the packed bit budget, also mid-search) raises
+:class:`AccelUnavailable` or :class:`EncodingOverflow`, which
+:func:`~repro.ioa.explorer.explore` turns into a fallback to the
+pure-Python engine, counted as ``explore.accel_fallback``.  Set
+``REPRO_ACCEL_REQUIRE=1`` to turn that fallback into a hard error (CI
+does, so the tier-1 suite cannot silently skip the compiled path).
 
 Invariant projection: an invariant callable may declare the component
 slots it reads via a ``state_slots`` attribute (a tuple of slot
@@ -42,15 +48,17 @@ import sysconfig
 import threading
 from typing import Any, Iterator, List, Optional, Set, Tuple
 
-try:  # Python 3.9+: collections.abc.Set is subscriptable but we only subclass
-    from collections.abc import Set as AbstractSet
-except ImportError:  # pragma: no cover - unreachable on supported versions
-    from typing import AbstractSet  # type: ignore[assignment]
-
+from ...obs import current_tracer
 from ..automaton import State
 from ..composition import Composition
-from .core import Environment, ExplorationResult, Invariant
-from .encoding import EncodingOverflow, StateEncoder
+from .core import (
+    Environment,
+    ExplorationResult,
+    Invariant,
+    StateSetView,
+    emit_totals,
+)
+from .encoding import EncodingOverflow, MemoCounter, StateEncoder
 
 __all__ = [
     "AccelUnavailable",
@@ -58,15 +66,16 @@ __all__ = [
     "accel_backend_id",
     "ensure_built",
     "explore_accel",
+    "ineligible_reason",
 ]
 
 
 class AccelUnavailable(RuntimeError):
     """The compiled backend cannot run this exploration.
 
-    Raised for build/load failures and for explorations outside the
-    packed fast path's preconditions; the dispatcher treats it as
-    "fall back to the pure-Python engine".
+    Raised for build/load failures, and by :func:`explore_accel` when
+    called directly on an ineligible exploration; the dispatcher treats
+    it as "fall back to the pure-Python engine".
     """
 
 
@@ -190,7 +199,7 @@ def accel_backend_id() -> Optional[str]:
     return "c-" + os.path.basename(build_dir)
 
 
-class LazyStateSet(AbstractSet):
+class LazyStateSet(StateSetView):
     """Set view over packed state keys, decoded on demand.
 
     ``explore`` promises a set of decoded states, but most consumers
@@ -280,6 +289,25 @@ def _projection_mask(
     return mask
 
 
+def ineligible_reason(
+    automaton: Any, environment: Environment, validate: bool
+) -> Optional[str]:
+    """Why an exploration cannot take the packed fast path, or None.
+
+    The fast path needs a :class:`Composition` stepped only by its own
+    locally-controlled actions: an ``environment`` callback needs a
+    decoded state per expansion, and ``validate=True`` checks input
+    enabledness on decoded states too.
+    """
+    if not isinstance(automaton, Composition):
+        return "accel backend requires a Composition"
+    if environment is not None:
+        return "environment callbacks require decoded states per expansion"
+    if validate:
+        return "validate=True runs on the pure engine"
+    return None
+
+
 def explore_accel(
     automaton: Any,
     environment: Environment = None,
@@ -291,19 +319,18 @@ def explore_accel(
 ) -> ExplorationResult:
     """Compiled-backend exploration (same contract as the engine).
 
+    The C core expands one BFS layer per call; this function drives
+    the depth loop, so the trace carries the same ``explore.layer``
+    spans, counters and gauges as the pure-Python engine.
+
     Raises :class:`AccelUnavailable` whenever the packed fast path does
     not apply; raises :class:`EncodingOverflow` when the state space
     outgrows the 64-bit packing mid-search.  Both are fallback signals,
     never wrong answers.
     """
-    if not isinstance(automaton, Composition):
-        raise AccelUnavailable("accel backend requires a Composition")
-    if environment is not None:
-        raise AccelUnavailable(
-            "environment callbacks require decoded states per expansion"
-        )
-    if validate:
-        raise AccelUnavailable("validate=True runs on the pure engine")
+    reason = ineligible_reason(automaton, environment, validate)
+    if reason is not None:
+        raise AccelUnavailable(reason)
     module = _load_module()
 
     encoder = StateEncoder(automaton)
@@ -331,61 +358,93 @@ def explore_accel(
         invariant_cb = _invariant_cb
         proj_mask = _projection_mask(invariant, encoder)
 
+    tracer = current_tracer()
+    memo: Optional[MemoCounter] = None
     # The C core range-checks every successor slice id against the slot
     # budget (raising OverflowError), so the encoder's bound methods
-    # are passed straight through -- no per-call Python wrapper.
+    # are passed straight through -- no per-call Python wrapper unless
+    # tracing counts the memo queries.
+    successor_sids: Any = encoder.successor_sids
+    if tracer.enabled:
+        memo = MemoCounter(encoder)
+        successor_sids = memo
+        tracer.count("explore.states", 1)  # the start state
     search = module.AccelSearch(
         encoder.n,
         encoder.bits_per_slot,
         encoder.enabled_pairs,
-        encoder.successor_sids,
+        successor_sids,
     )
-    try:
-        status, truncated, violation_index = search.run(
-            start_key, max_states, max_depth, invariant_cb, proj_mask
-        )
-    except OverflowError as exc:
-        raise EncodingOverflow(str(exc)) from exc
+    search.seed(start_key)
+    width = 1
+    depth = 0
+    truncated = False
+    while width:
+        if depth >= max_depth:
+            truncated = True
+            break
+        # One span + aggregate counters per layer, as in the engine.
+        with tracer.span("explore.layer", depth=depth, width=width):
+            try:
+                status, fired, width = search.expand(
+                    max_states, invariant_cb, proj_mask
+                )
+            except OverflowError as exc:
+                raise EncodingOverflow(str(exc)) from exc
+            if status == _VIOLATION:
+                _emit_totals(tracer, search, encoder, memo)
+                return _violation_result(search, encoder)
+            if tracer.enabled:
+                tracer.count("explore.transitions", fired)
+                tracer.count("explore.states", width)
+                tracer.gauge("explore.frontier", width)
+        if status == _TRUNCATED:
+            truncated = True
+            break
+        depth += 1
+    _emit_totals(tracer, search, encoder, memo)
+    return ExplorationResult(LazyStateSet(search, encoder), truncated)
 
-    from ...obs import current_tracer
 
-    tracer = current_tracer()
-    if tracer.enabled:
-        stats = search.stats()
-        tracer.count("explore.states", stats["states"])
-        tracer.count("explore.transitions", stats["transitions"])
-        tracer.count(
-            "explore.slices_interned", encoder.slices_interned()
-        )
-        tracer.count(
-            "explore.actions_interned", len(encoder.action_of_token)
-        )
-        tracer.count("explore.accel_steps", stats["step_calls"])
-        tracer.count(
-            "explore.accel_invariant_calls", stats["invariant_calls"]
-        )
+#: ``AccelSearch.expand`` statuses (0 is "layer done").
+_VIOLATION = 1
+_TRUNCATED = 2
 
-    if status == 1:
-        # Violation: decode eagerly (counterexample paths are rare and
-        # short) and reconstruct the layer-minimal trace from the
-        # parent log.
-        decode_packed = encoder.decode_packed
-        states = {decode_packed(key) for key in search.keys()}
-        bad_key, _, _ = search.entry(violation_index)
-        actions = []
-        index = violation_index
-        while True:
-            _, parent, token = search.entry(index)
-            if parent < 0:
-                break
-            actions.append(encoder.action_of_token[token])
-            index = parent
-        actions.reverse()
-        return ExplorationResult(
-            states,
-            bool(truncated),
-            (decode_packed(bad_key), tuple(actions)),
-        )
+
+def _emit_totals(
+    tracer: Any,
+    search: Any,
+    encoder: StateEncoder,
+    memo: Optional[MemoCounter],
+) -> None:
+    if not tracer.enabled:
+        return
+    emit_totals(tracer, encoder, memo)
+    stats = search.stats()
+    tracer.count("explore.accel_steps", stats["step_calls"])
+    tracer.count("explore.accel_invariant_calls", stats["invariant_calls"])
+
+
+def _violation_result(
+    search: Any, encoder: StateEncoder
+) -> ExplorationResult:
+    """The eagerly decoded result of a search that hit a violation.
+
+    Counterexample paths are rare and short; the violating state is the
+    last entry, and the layer-minimal trace is read off the parent log.
+    """
+    decode_packed = encoder.decode_packed
+    states = {decode_packed(key) for key in search.keys()}
+    index = search.count() - 1
+    bad_key, _, _ = search.entry(index)
+    actions = []
+    while True:
+        _, parent, token = search.entry(index)
+        if parent < 0:
+            break
+        actions.append(encoder.action_of_token[token])
+        index = parent
+    actions.reverse()
     return ExplorationResult(
-        LazyStateSet(search, encoder), bool(truncated)
+        states, False, (decode_packed(bad_key), tuple(actions))
     )

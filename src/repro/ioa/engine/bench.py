@@ -1,7 +1,9 @@
 """States/sec benchmark emitter for the exploration engine.
 
-Times the exploration-engine backend against the reference naive BFS on
-the exhaustive-verification closed systems of the protocol zoo and
+Times the pure-Python exploration engine (``explore_engine``) and the
+compiled core (``explore(engine="accel")``, the default path) against
+the reference naive BFS on the exhaustive-verification closed systems
+of the protocol zoo and
 writes the results to ``bench/BENCH_explore.json`` so the perf
 trajectory is tracked from PR to PR.  Run via::
 
@@ -94,6 +96,7 @@ def run_bench(
     """
     from repro.analysis.model_check import build_closed_system
     from repro.ioa.engine.accel import accel_backend_id
+    from repro.ioa.engine.core import explore_engine
     from repro.ioa.explorer import explore
 
     backend = accel_backend_id()
@@ -124,8 +127,10 @@ def run_bench(
             )
             return composition, invariant
 
+        # The pure-Python engine, called directly: ``explore`` runs the
+        # compiled core by default, timed separately below.
         def engine_fn(composition, invariant, max_depth):
-            return explore(
+            return explore_engine(
                 composition, invariant=invariant, max_depth=max_depth
             )
 
@@ -156,9 +161,9 @@ def run_bench(
                 accel_fn, build_system, repeats
             )
         else:
-            # No compiler: explore(engine="accel") would silently fall
-            # back and time the engine twice, which is not a
-            # measurement.  The columns stay null instead.
+            # No compiler: explore(engine="accel") would fall back and
+            # time the engine twice, which is not a measurement.  The
+            # columns stay null instead.
             accel_seconds, accel_result = None, None
         if engine_result.states != reference_result.states:
             raise AssertionError(

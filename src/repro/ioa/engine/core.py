@@ -39,6 +39,7 @@ still certifies every reported state.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSetBase
 from dataclasses import dataclass
 from itertools import product
 from typing import (
@@ -60,7 +61,7 @@ from ...obs import current_tracer
 from ..actions import Action
 from ..automaton import Automaton, State
 from ..composition import Composition
-from .encoding import StateEncoder
+from .encoding import MemoCounter, StateEncoder
 
 Environment = Optional[Callable[[State], Iterable[Action]]]
 Invariant = Optional[Callable[[State], bool]]
@@ -84,6 +85,25 @@ class InputEnablednessError(RuntimeError):
         self.automaton = automaton
         self.state = state
         self.action = action
+
+
+class StateSetView(AbstractSetBase):
+    """Base of the lazy ``ExplorationResult.states`` views.
+
+    A view stands in for a plain ``set`` of states: set algebra
+    (``|``, ``&``, ``-``, ``^``) returns a plain ``set``, and pickling
+    or deep-copying a view yields the plain set of its decoded states
+    (the backing search or store is process-local and never travels).
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[State]) -> Set[State]:
+        return set(iterable)
+
+    def __reduce__(self):
+        return (set, (list(self),))
 
 
 @dataclass
@@ -162,6 +182,22 @@ def explore_engine(
         validate,
         initial_state,
     )
+
+
+def emit_totals(
+    tracer, encoder: StateEncoder, memo: Optional[MemoCounter]
+) -> None:
+    """Counters/gauges summarizing the interning and memo caches.
+
+    Shared by the composition engines (pure-Python and compiled), so a
+    trace reads the same whichever one ran.
+    """
+    if not tracer.enabled:
+        return
+    tracer.count("explore.slices_interned", encoder.slices_interned())
+    tracer.count("explore.actions_interned", len(encoder.action_of_token))
+    if memo is not None:
+        memo.emit(tracer)
 
 
 # ----------------------------------------------------------------------
@@ -294,11 +330,10 @@ class _CompositionSearch:
         self.composition = composition
         self.n = len(composition.components)
         self.encoder = StateEncoder(composition)
-
-    def _successor_sids(
-        self, slot: int, sid: int, token: int
-    ) -> Tuple[int, ...]:
-        return self.encoder.successor_sids(slot, sid, token)
+        # Swapped for a MemoCounter while tracing (see run()).
+        self._successor_sids: Callable[
+            [int, int, int], Tuple[int, ...]
+        ] = self.encoder.successor_sids
 
     # -- expansion ------------------------------------------------------
 
@@ -360,8 +395,10 @@ class _CompositionSearch:
         if invariant is not None and not invariant(start):
             return ExplorationResult({start}, False, (start, ()))
         tracer = current_tracer()
+        memo: Optional[MemoCounter] = None
         if tracer.enabled:
-            self._install_memo_counters()
+            memo = MemoCounter(self.encoder)
+            self._successor_sids = memo
             tracer.count("explore.states", 1)  # the start state
         start_enc = self.encoder.encode(start)
         # Encoded parent pointers: enc -> (predecessor enc, action token).
@@ -407,7 +444,7 @@ class _CompositionSearch:
                         if invariant is not None:
                             real = decode(succ_enc)
                             if not invariant(real):
-                                self._emit_totals(tracer)
+                                emit_totals(tracer, self.encoder, memo)
                                 return ExplorationResult(
                                     self._decode_all(parents),
                                     truncated,
@@ -430,47 +467,8 @@ class _CompositionSearch:
                 break
             layer = next_layer
             depth += 1
-        self._emit_totals(tracer)
+        emit_totals(tracer, self.encoder, memo)
         return ExplorationResult(self._decode_all(parents), truncated)
-
-    # -- observability (only active under an enabled tracer) ------------
-
-    def _install_memo_counters(self) -> None:
-        """Shadow the cached-query methods with counting wrappers.
-
-        Installed per-instance and only when tracing is on, so the
-        tracing-off hot path carries no extra branches or increments.
-        """
-        self._step_queries = 0
-        self._step_hits = 0
-        inner = self._successor_sids
-        steps_by_sid = self.encoder.steps_by_sid
-
-        def counting(slot: int, sid: int, token: int) -> Tuple[int, ...]:
-            self._step_queries += 1
-            if token in steps_by_sid[slot][sid]:
-                self._step_hits += 1
-            return inner(slot, sid, token)
-
-        self._successor_sids = counting  # type: ignore[method-assign]
-
-    def _emit_totals(self, tracer) -> None:
-        """Counters/gauges summarizing the interning and memo caches."""
-        if not tracer.enabled:
-            return
-        tracer.count(
-            "explore.slices_interned", self.encoder.slices_interned()
-        )
-        tracer.count(
-            "explore.actions_interned", len(self.encoder.action_of_token)
-        )
-        queries = getattr(self, "_step_queries", 0)
-        if queries:
-            tracer.gauge(
-                "explore.memo_hit_rate", self._step_hits / queries
-            )
-            tracer.count("explore.memo_queries", queries)
-            tracer.count("explore.memo_hits", self._step_hits)
 
     def _trace(
         self, parents: Dict, encoded: Tuple[int, ...]

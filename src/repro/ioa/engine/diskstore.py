@@ -42,11 +42,6 @@ import tempfile
 import weakref
 from typing import Any, Iterator, List, Optional, Set, Tuple
 
-try:
-    from collections.abc import Set as AbstractSet
-except ImportError:  # pragma: no cover - unreachable on supported versions
-    from typing import AbstractSet  # type: ignore[assignment]
-
 from ...obs import current_tracer
 from ..automaton import State
 from ..composition import Composition
@@ -55,6 +50,7 @@ from .core import (
     ExplorationResult,
     InputEnablednessError,
     Invariant,
+    StateSetView,
     _CompositionSearch,
 )
 from .encoding import StateEncoder
@@ -292,7 +288,7 @@ class DiskStore:
             self._cleanup()
 
 
-class DiskStateSet(AbstractSet):
+class DiskStateSet(StateSetView):
     """Lazy set view over a :class:`DiskStore`'s entry log.
 
     Sized and probe-able without decoding anything (the disk analogue

@@ -33,6 +33,7 @@ from .interning import InternTable
 
 __all__ = [
     "EncodingOverflow",
+    "MemoCounter",
     "StateEncoder",
 ]
 
@@ -82,7 +83,11 @@ class StateEncoder:
         "slot_capacity",
     )
 
-    def __init__(self, composition: Composition, pack_bits: int = PACK_BITS):
+    def __init__(
+        self, composition: Composition, pack_bits: Optional[int] = None
+    ):
+        if pack_bits is None:
+            pack_bits = PACK_BITS
         self.composition = composition
         self.components = composition.components
         self.n = len(self.components)
@@ -147,10 +152,11 @@ class StateEncoder:
         tables, so equality checks between decoded states hit
         CPython's per-element identity fast path.
         """
-        return tuple(
+        # A list comprehension builds the tuple faster than a generator.
+        return tuple([
             table.values[sid]
             for table, sid in zip(self.slice_tables, encoded)
-        )
+        ])
 
     def pack(self, encoded: Sequence[int]) -> int:
         """The single-int code of a flat tuple (packed mixed-radix).
@@ -174,7 +180,7 @@ class StateEncoder:
     def unpack(self, key: int) -> Tuple[int, ...]:
         """The flat tuple behind a packed single-int code."""
         mask = self.slot_capacity - 1
-        return tuple((key >> shift) & mask for shift in self.shifts)
+        return tuple([(key >> shift) & mask for shift in self.shifts])
 
     def encode_packed(self, state: State) -> int:
         """``pack(encode(state))``."""
@@ -182,12 +188,7 @@ class StateEncoder:
 
     def decode_packed(self, key: int) -> State:
         """``decode(unpack(key))``."""
-        mask = self.slot_capacity - 1
-        tables = self.slice_tables
-        return tuple(
-            tables[slot].values[(key >> shift) & mask]
-            for slot, shift in enumerate(self.shifts)
-        )
+        return self.decode(self.unpack(key))
 
     # -- memoized component stepping ------------------------------------
 
@@ -250,3 +251,42 @@ class StateEncoder:
     def slices_interned(self) -> int:
         """Total distinct slice values across all slots."""
         return sum(len(table) for table in self.slice_tables)
+
+
+class MemoCounter:
+    """Counting shim around :meth:`StateEncoder.successor_sids`.
+
+    Tracing-only: an engine installs one in place of the bound method
+    when the tracer is enabled, so the tracing-off hot path carries no
+    extra branches or increments.  A query is a hit when the encoder's
+    memo already held the answer (no component was stepped).
+    """
+
+    __slots__ = ("queries", "hits", "_inner", "_steps_by_sid")
+
+    def __init__(self, encoder: StateEncoder):
+        self.queries = 0
+        self.hits = 0
+        self._inner = encoder.successor_sids
+        self._steps_by_sid = encoder.steps_by_sid
+
+    def __call__(self, slot: int, sid: int, token: int) -> Tuple[int, ...]:
+        self.queries += 1
+        if token in self._steps_by_sid[slot][sid]:
+            self.hits += 1
+        return self._inner(slot, sid, token)
+
+    def emit(self, tracer) -> None:
+        """The ``explore.memo_*`` counters and hit-rate gauge."""
+        if not self.queries:
+            return
+        tracer.gauge("explore.memo_hit_rate", self.hits / self.queries)
+        tracer.count("explore.memo_queries", self.queries)
+        if self.hits:
+            tracer.count("explore.memo_hits", self.hits)
+        else:
+            # The compiled core keeps its own step table and asks the
+            # encoder only on its misses, so every query misses here.
+            # ``count`` drops zero increments; record the zero total so
+            # both engines' runs report the same memo counters.
+            tracer.counters.setdefault("explore.memo_hits", 0)

@@ -6,16 +6,19 @@ environment.  This provides lightweight model checking of safety
 invariants -- e.g. "the alternating-bit protocol never delivers out of
 order over any FIFO-channel adversary with at most N in-flight packets".
 
-:func:`explore` is the public entry point; it delegates to
-:mod:`repro.ioa.engine`, which keeps trace-free parent-pointer
-frontiers and steps compositions over encoded states through the
-:class:`~repro.ioa.engine.encoding.StateEncoder` per-slice memo.  The
-original naive breadth-first search is preserved verbatim behind
+:func:`explore` is the public entry point.  By default it runs the
+compiled packed-key core (:mod:`repro.ioa.engine.accel`) whenever the
+call is eligible -- a :class:`~repro.ioa.composition.Composition`, no
+``environment`` and no ``validate`` -- and the pure-Python engine
+(:func:`repro.ioa.engine.core.explore_engine`) otherwise, or when the
+core cannot run.  Both step compositions over encoded states through
+the :class:`~repro.ioa.engine.encoding.StateEncoder` per-slice memo.
+The original naive breadth-first search is preserved verbatim behind
 ``explore(engine="reference")``: it is the differential-testing oracle
-the engine is validated against, and the ground truth for the result
+the engines are validated against, and the ground truth for the result
 contract.
 
-Budget contract (both explorers): when the ``max_states`` budget is
+Budget contract (every explorer): when the ``max_states`` budget is
 reached the search stops immediately -- no further successors of the
 current state or layer are expanded.  States that were queued but never
 expanded still had the invariant checked when they were first reached,
@@ -75,60 +78,71 @@ def explore(
     Nondeterministic transitions are followed exhaustively.
 
     ``workers`` is deprecated and ignored: exploration always runs
-    serially (the compiled ``engine="accel"`` core is the fast path).
-    Passing it emits a :class:`DeprecationWarning`.
+    serially (the compiled core is the fast path).  Passing it emits a
+    :class:`DeprecationWarning`.
 
     ``validate=True`` is a debug mode that checks input-enabledness at
     every expanded state: if the environment offers an input action with
     no transition, :class:`InputEnablednessError` is raised (this is
     ``Automaton.check_input_enabled`` wired into the engine).
 
-    ``engine`` selects the backend: ``"auto"`` (the default) is the
-    high-throughput engine; ``"accel"`` opts into the compiled
-    packed-key core (built on demand from ``engine/_accel.c``; falls
-    back to the engine -- counted as ``explore.accel_fallback`` --
-    when no C compiler is available, the automaton is not a
-    composition, an ``environment``/``validate`` is requested, or the
-    state space outgrows the 64-bit packing; set
-    ``REPRO_ACCEL_REQUIRE=1`` to make the fallback a hard error);
-    ``"disk"`` spills the visited set and frontier to a self-cleaning
-    scratch directory so exploration is bounded by disk rather than
-    RAM (compositions only; RAM budget from ``$REPRO_DISK_RAM_CAP``,
-    see :func:`repro.ioa.engine.diskstore.explore_disk`);
-    ``"reference"`` is the original naive BFS kept verbatim as the
-    differential-testing oracle (``validate`` is not supported with
-    it).
+    ``engine`` selects the backend.  ``"auto"`` (the default; ``"accel"``
+    is the same value) runs the compiled packed-key core, built on
+    demand from ``engine/_accel.c``, whenever the call is eligible: the
+    automaton is a composition, there is no ``environment`` and
+    ``validate`` is off.  An ineligible call goes straight to the
+    pure-Python engine; that is not a fallback.  An eligible call that
+    cannot run on the core (no C compiler, a load error, or a state
+    space that outgrows the 64-bit packing, also mid-search) re-runs on
+    the pure-Python engine and counts ``explore.accel_fallback`` with
+    the reason; set ``REPRO_ACCEL_REQUIRE=1`` to make that fallback a
+    hard error.  A mid-search fallback leaves the core's finished
+    layers in the trace ahead of the re-run.  ``"disk"`` spills the
+    visited set and frontier to a self-cleaning scratch directory so
+    exploration is bounded by disk rather than RAM (compositions only;
+    RAM budget from ``$REPRO_DISK_RAM_CAP``, see
+    :func:`repro.ioa.engine.diskstore.explore_disk`); ``"reference"``
+    is the original naive BFS kept verbatim as the differential-testing
+    oracle (``validate`` is not supported with it).  The pure-Python
+    engine on its own is :func:`repro.ioa.engine.core.explore_engine`.
     """
     if workers is not None:
         warnings.warn(
             "explore(workers=...) is deprecated and ignored; exploration "
-            "runs serially (engine='accel' is the fast path)",
+            "runs serially (the compiled core is the fast path)",
             DeprecationWarning,
             stacklevel=2,
         )
-    if engine == "accel":
-        from .engine.accel import AccelUnavailable, explore_accel
+    if engine in ("auto", "accel"):
+        from .engine import accel
         from .engine.encoding import EncodingOverflow
 
-        try:
-            return explore_accel(
-                automaton,
-                environment=environment,
-                invariant=invariant,
-                max_states=max_states,
-                max_depth=max_depth,
-                validate=validate,
-                initial_state=initial_state,
-            )
-        except (AccelUnavailable, EncodingOverflow) as exc:
-            if os.environ.get("REPRO_ACCEL_REQUIRE"):
-                raise
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.count(
-                    "explore.accel_fallback", 1, reason=str(exc)[:200]
+        if accel.ineligible_reason(automaton, environment, validate) is None:
+            try:
+                return accel.explore_accel(
+                    automaton,
+                    invariant=invariant,
+                    max_states=max_states,
+                    max_depth=max_depth,
+                    initial_state=initial_state,
                 )
-            engine = "auto"
+            except (accel.AccelUnavailable, EncodingOverflow) as exc:
+                if os.environ.get("REPRO_ACCEL_REQUIRE"):
+                    raise
+                tracer = current_tracer()
+                if tracer.enabled:
+                    tracer.count(
+                        "explore.accel_fallback", 1, reason=str(exc)[:200]
+                    )
+        return explore_engine(
+            automaton,
+            environment=environment,
+            invariant=invariant,
+            max_states=max_states,
+            max_depth=max_depth,
+            validate=validate,
+            initial_state=initial_state,
+        )
     if engine == "disk":
         from .engine.diskstore import explore_disk
 
@@ -161,19 +175,9 @@ def explore(
         if tracer.enabled:
             tracer.count("explore.states", len(result.states))
         return result
-    if engine != "auto":
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'auto', 'accel', "
-            "'disk' or 'reference'"
-        )
-    return explore_engine(
-        automaton,
-        environment=environment,
-        invariant=invariant,
-        max_states=max_states,
-        max_depth=max_depth,
-        validate=validate,
-        initial_state=initial_state,
+    raise ValueError(
+        f"unknown engine {engine!r}; expected 'auto', 'accel', "
+        "'disk' or 'reference'"
     )
 
 

@@ -1,8 +1,10 @@
-"""Three-way engine differential over the fuzz zoo x channel matrix.
+"""Engine differential over the fuzz zoo x channel matrix.
 
 Every exploration backend -- the reference BFS kept as the oracle, the
-interned engine, the compiled packed-key core and the disk-backed
-store -- must report the same reachable set, the same ``truncated``
+default dispatch, the pure-Python interned engine (reached through
+``explore_engine``, since the default runs the compiled core whenever
+it is built), the compiled packed-key core and the disk-backed store
+-- must report the same reachable set, the same ``truncated``
 flag and the same counterexamples on the same closed system.  The
 systems come from the fuzz harness (seeded channel adversaries over
 the protocol zoo), including corrupted ``initial_state=`` starts from
@@ -23,6 +25,7 @@ from repro.analysis.model_check import build_closed_system
 from repro.conformance.arbitrary import corrupt_initial_state
 from repro.conformance.harness import FuzzConfig, SubSeeds, build_system
 from repro.ioa.engine.accel import accel_backend_id
+from repro.ioa.engine.core import explore_engine
 from repro.ioa.engine.diskstore import explore_disk
 from repro.ioa.explorer import explore
 from repro.protocols import alternating_bit_protocol
@@ -35,9 +38,16 @@ CHANNELS = ("fifo", "nonfifo", "bounded_nonfifo")
 CONFIG = FuzzConfig(messages=2, capacity=2, horizon=16, reorder_window=2)
 MAX_STATES = 1500
 
-ENGINES = ("auto", "reference", "disk") + (
+ENGINES = ("auto", "python", "reference", "disk") + (
     ("accel",) if accel_backend_id() else ()
 )
+
+
+def _explore(composition, engine, **kwargs):
+    """``explore`` on one backend; ``"python"`` is the pure engine."""
+    if engine == "python":
+        return explore_engine(composition, **kwargs)
+    return explore(composition, engine=engine, **kwargs)
 
 
 def _composition(protocol: str, channel: str, seed: int):
@@ -69,10 +79,10 @@ def _started_state(system):
 
 def _assert_agree(composition, initial_state=None, expect_progress=True):
     results = {
-        engine: explore(
+        engine: _explore(
             composition,
+            engine,
             max_states=MAX_STATES,
-            engine=engine,
             initial_state=initial_state,
         )
         for engine in ENGINES
@@ -135,9 +145,7 @@ def test_engines_agree_on_violation_traces():
             capacity=2,
             reorder_depth=2,
         )
-        result = explore(
-            composition, invariant=invariant, engine=engine
-        )
+        result = _explore(composition, engine, invariant=invariant)
         assert result.violation is not None, engine
         state, trace = result.violation
         violations[engine] = (state, tuple(trace))
@@ -155,10 +163,10 @@ def test_engines_agree_under_truncation():
     )
     started = _started_state(system)
     results = {
-        engine: explore(
+        engine: _explore(
             composition,
+            engine,
             max_states=300,
-            engine=engine,
             initial_state=started,
         )
         for engine in ENGINES
