@@ -98,7 +98,7 @@ from .protocols import (
     sliding_window_protocol,
     stenning_protocol,
 )
-from .sim import DataLinkSystem, FaultPlan, delivery_stats, generate_script
+from .sim import DataLinkSystem, FaultPlan, generate_script
 from .sim.runner import run_scenario
 
 #: name -> (factory taking an optional integer parameter, description)
@@ -376,7 +376,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ) as tracer:
         script = generate_script(system, plan)
         result = run_scenario(system, script.actions, seed=args.seed)
-        stats = delivery_stats(result.fragment)
+        stats = result.metrics().delivery
         audit = check_datalink_trace(
             result.behavior, quiescent=result.quiescent
         )

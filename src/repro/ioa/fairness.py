@@ -53,14 +53,14 @@ def apply_inputs(
     Input-enabledness guarantees every step exists; a missing transition
     indicates a broken automaton and raises :class:`TransitionError`.
     """
-    fragment = ExecutionFragment.initial(state)
-    current = state
+    states = [state]
+    actions: List[Action] = []
     for action in inputs:
         if not automaton.signature.is_input(action):
             raise ValueError(f"{action} is not an input action")
-        current = automaton.step(current, action)
-        fragment = fragment.append(action, current)
-    return fragment
+        states.append(automaton.step(states[-1], action))
+        actions.append(action)
+    return ExecutionFragment(tuple(states), tuple(actions))
 
 
 class _TaskNames(dict):
@@ -101,7 +101,10 @@ def run_to_quiescence(
     FairnessTimeout
         If more than ``max_steps`` steps are taken without quiescing.
     """
-    fragment = ExecutionFragment.initial(state)
+    # Steps accumulate in lists and become one fragment at the end:
+    # appending to a fragment copies it, which is quadratic in the run.
+    states = [state]
+    actions: List[Action] = []
     current = state
     last_served: Dict[Hashable, int] = {}
     # Each task's repr (the tie-break among never-served tasks),
@@ -111,7 +114,7 @@ def run_to_quiescence(
     for _ in range(max_steps):
         enabled = list(automaton.enabled_local_actions(current))
         if not enabled:
-            return fragment
+            return ExecutionFragment(tuple(states), tuple(actions))
         by_task: Dict[Hashable, List[Action]] = {}
         for action in enabled:
             by_task.setdefault(automaton.task_of(action), []).append(action)
@@ -125,10 +128,13 @@ def run_to_quiescence(
         clock += 1
         last_served[task] = clock
         current = automaton.step(current, action)
-        fragment = fragment.append(action, current)
+        states.append(current)
+        actions.append(action)
         if stop_when is not None and stop_when(action):
-            return fragment
-    raise FairnessTimeout(fragment, max_steps)
+            return ExecutionFragment(tuple(states), tuple(actions))
+    raise FairnessTimeout(
+        ExecutionFragment(tuple(states), tuple(actions)), max_steps
+    )
 
 
 def fair_extension(

@@ -10,18 +10,22 @@ hash used to be recomputed over and over.
 :func:`hash_once` makes the hash lazy and per instance: the first
 ``hash()`` computes the dataclass-generated structural hash and stores
 it in the instance ``__dict__``; later calls return the stored value.
-The stored hash is never pickled or copied (``__getstate__`` drops it,
-and ``dataclasses.replace`` rebuilds from the fields), so a hash never
-crosses into a process with a different hash seed.  Equality, ``repr``
-and field order are untouched -- the stored hash is not a field.
+The stored hash is never pickled or copied (``__getstate__`` keeps the
+dataclass fields only, and ``dataclasses.replace`` rebuilds from the
+fields), so a hash never crosses into a process with a different hash
+seed.  Equality, ``repr`` and field order are untouched -- the stored
+hash is not a field.
 
 The contract this relies on: a decorated state is never mutated after
 construction (frozen dataclasses forbid ``setattr``; nothing may go
-round that with ``object.__setattr__``).
+round that with ``object.__setattr__``).  A delivery set drawn on
+demand stores its fields late, but their values were fixed by its seed
+at construction, so its structural hash never changes.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import TypeVar
 
 __all__ = ["hash_once"]
@@ -46,6 +50,7 @@ def hash_once(cls: T) -> T:
             f"{cls.__name__} has no generated __hash__; "
             "apply hash_once on top of @dataclass(frozen=True)"
         )
+    names = tuple(field.name for field in fields(cls))
 
     def __hash__(self) -> int:
         attrs = self.__dict__
@@ -56,11 +61,9 @@ def hash_once(cls: T) -> T:
             return value
 
     def __getstate__(self) -> dict:
-        state = self.__dict__
-        if _HASH_KEY in state:
-            state = dict(state)
-            del state[_HASH_KEY]
-        return state
+        # The fields, read through their attributes: never the stored
+        # hash, and never a delivery set's undrawn rest.
+        return {name: getattr(self, name) for name in names}
 
     cls.__hash__ = __hash__  # type: ignore[assignment]
     cls.__getstate__ = __getstate__  # type: ignore[attr-defined]

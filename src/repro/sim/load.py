@@ -49,7 +49,6 @@ from ..obs import (
     current_tracer,
 )
 from .metrics import percentile_summary
-from .runner import _dropped
 from .session import Session
 
 #: Fraction digits kept for ratio/mean fields in the report details --
@@ -180,7 +179,6 @@ def run_session(
     failed-session outcome, mirroring the fuzz pool's hardening.
     """
     from ..conformance.pool import RunTimeout, _alarm, _capturing
-    from .metrics import channel_stats, delivery_stats
 
     started = time.perf_counter()
     try:
@@ -194,10 +192,7 @@ def run_session(
                     resolved=resolved,
                 )
                 result = session.run()
-                stats = delivery_stats(result.fragment)
-                dropped = _dropped(
-                    channel_stats(result.fragment, "t", "r")
-                ) + _dropped(channel_stats(result.fragment, "r", "t"))
+                metrics = result.metrics()
     except RunTimeout as exc:
         return SessionOutcome(
             index=index,
@@ -218,11 +213,11 @@ def run_session(
         subseeds=subseeds,
         steps=result.steps,
         quiescent=result.quiescent,
-        sent=stats.sent,
-        delivered=stats.delivered,
-        duplicates=stats.duplicates,
-        dropped=dropped,
-        latencies=stats.latencies,
+        sent=metrics.delivery.sent,
+        delivered=metrics.delivery.delivered,
+        duplicates=metrics.delivery.duplicates,
+        dropped=metrics.packets_dropped,
+        latencies=metrics.delivery.latencies,
         events=tuple(events),
         duration_s=time.perf_counter() - started,
     )

@@ -126,6 +126,46 @@ def channel_stats(
     )
 
 
+def packets_dropped(
+    fragment: ExecutionFragment, t: str = "t", r: str = "r"
+) -> int:
+    """Packets that left either channel's send side and never arrived.
+
+    Per direction, ``packets_sent - packets_received`` as
+    :func:`channel_stats` counts them (floored at 0), but from counts
+    alone: no packet is classified and no census is built.
+    """
+    in_flight = {(t, r): 0, (r, t): 0}
+    for action in fragment.actions:
+        name = action.name
+        if name == SEND_PKT:
+            change = 1
+        elif name == RECEIVE_PKT:
+            change = -1
+        else:
+            continue
+        if action.direction in in_flight:
+            in_flight[action.direction] += change
+    return sum(max(0, count) for count in in_flight.values())
+
+
+@dataclass(frozen=True)
+class RunMetrics:
+    """The per-run numbers every report of a session reads."""
+
+    delivery: DeliveryStats
+    packets_dropped: int
+
+
+def run_metrics(
+    fragment: ExecutionFragment, t: str = "t", r: str = "r"
+) -> RunMetrics:
+    """One metrics pass over a run: delivery stats and dropped packets."""
+    return RunMetrics(
+        delivery_stats(fragment, t, r), packets_dropped(fragment, t, r)
+    )
+
+
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile: the smallest sample value that at
     least ``q`` percent of the sample is less than or equal to.

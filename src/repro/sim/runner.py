@@ -12,12 +12,13 @@ New code should construct a ``Session`` and call ``run()``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..ioa.actions import Action
 from ..ioa.execution import ExecutionFragment
 from ..obs import STATUS_OK, RunReport
+from .metrics import RunMetrics, run_metrics
 
 
 @dataclass
@@ -27,10 +28,27 @@ class ScenarioResult:
     fragment: ExecutionFragment
     behavior: Tuple[Action, ...]
     quiescent: bool
+    #: :meth:`metrics` per station pair, computed on first request.
+    _metrics: Dict[Tuple[str, str], RunMetrics] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def steps(self) -> int:
         return len(self.fragment)
+
+    def metrics(self, stations: Tuple[str, str] = ("t", "r")) -> RunMetrics:
+        """Delivery stats and dropped packets over ``stations``.
+
+        Computed once per station pair and kept, so the traced
+        counters, the load outcome and :meth:`report` share one pass.
+        """
+        cached = self._metrics.get(stations)
+        if cached is None:
+            cached = self._metrics[stations] = run_metrics(
+                self.fragment, *stations
+            )
+        return cached
 
     def distinct_states(self) -> list:
         """The run's distinct visited states, first-occurrence order.
@@ -58,19 +76,14 @@ class ScenarioResult:
         successful run whatever the protocol did; correctness verdicts
         come from the trace auditors, which the CLI folds in on top.
         """
-        from .metrics import channel_stats, delivery_stats
-
-        t, r = stations
-        stats = delivery_stats(self.fragment, t, r)
+        metrics = self.metrics(stations)
+        stats = metrics.delivery
         counters = {
             "sim.steps": self.steps,
             "sim.messages_sent": stats.sent,
             "sim.messages_delivered": stats.delivered,
             "sim.duplicate_deliveries": stats.duplicates,
-            "sim.packets_dropped": _dropped(
-                channel_stats(self.fragment, t, r)
-            )
-            + _dropped(channel_stats(self.fragment, r, t)),
+            "sim.packets_dropped": metrics.packets_dropped,
         }
         return RunReport(
             command="simulate",
@@ -86,11 +99,6 @@ class ScenarioResult:
                 "delivery_ratio": stats.delivery_ratio,
             },
         )
-
-
-def _dropped(stats) -> int:
-    """Packets that left a channel's send side and never arrived."""
-    return max(0, stats.packets_sent - stats.packets_received)
 
 
 def run_scenario(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..ioa.actions import Action
 from ..ioa.execution import ExecutionFragment
@@ -39,7 +39,7 @@ from ..ioa.fairness import FairnessTimeout, run_to_quiescence
 from ..channels.actions import CRASH, FAIL
 from ..obs import current_tracer
 from .network import DataLinkSystem
-from .runner import ScenarioResult, _dropped
+from .runner import ScenarioResult
 
 #: Stands in for the per-step span when tracing is off (reusable: a
 #: ``nullcontext`` keeps no state between entries).
@@ -126,7 +126,10 @@ class Session:
             if self.initial_state is not None
             else system.initial_state()
         )
-        fragment = ExecutionFragment.initial(start)
+        # One fragment per run: the steps accumulate in lists, since
+        # appending to a fragment copies it (quadratic in run length).
+        states = [start]
+        actions = []
         budget = self.max_steps
         tracer = current_tracer()
         with tracer.span("sim.scenario", seed=self.seed):
@@ -145,59 +148,59 @@ class Session:
                             tracer.count("sim.crash_injections")
                         elif action.name == FAIL:
                             tracer.count("sim.fail_injections")
-                    state = system.automaton.step(
-                        fragment.final_state, action
-                    )
-                    fragment = fragment.append(action, state)
+                    state = system.automaton.step(states[-1], action)
+                    states.append(state)
+                    actions.append(action)
                     slack = rng.randrange(self.max_interleave + 1)
                     if slack:
                         try:
                             burst = run_to_quiescence(
-                                system.automaton,
-                                fragment.final_state,
-                                max_steps=slack,
+                                system.automaton, state, max_steps=slack
                             )
                         except FairnessTimeout as exc:
                             burst = exc.fragment
-                        fragment = fragment.extend(burst)
-                budget = self.max_steps - len(fragment)
+                        states.extend(burst.states[1:])
+                        actions.extend(burst.actions)
+                budget = self.max_steps - len(actions)
                 if budget <= 0:
-                    return self._finish(fragment, False, tracer)
+                    return self._finish(states, actions, False, tracer)
             quiescent = True
             try:
                 drain = run_to_quiescence(
-                    system.automaton,
-                    fragment.final_state,
-                    max_steps=budget,
+                    system.automaton, states[-1], max_steps=budget
                 )
             except FairnessTimeout as exc:
                 drain = exc.fragment
                 quiescent = False
-            fragment = fragment.extend(drain)
-            return self._finish(fragment, quiescent, tracer)
+            states.extend(drain.states[1:])
+            actions.extend(drain.actions)
+            return self._finish(states, actions, quiescent, tracer)
 
     def _finish(
         self,
-        fragment: ExecutionFragment,
+        states: List[object],
+        actions: List[Action],
         quiescent: bool,
         tracer,
     ) -> ScenarioResult:
         """Build the result; emit the packet-level counters when tracing."""
         system = self.system
+        fragment = ExecutionFragment(tuple(states), tuple(actions))
         result = ScenarioResult(
             fragment, system.behavior(fragment), quiescent
         )
         if tracer.enabled:
-            from .metrics import channel_stats, delivery_stats
-
-            stats = delivery_stats(fragment, system.t, system.r)
+            # The result keeps these metrics, so callers reading them
+            # afterwards (run_session, report()) do not recompute them.
+            metrics = result.metrics((system.t, system.r))
             tracer.count("sim.steps", len(fragment))
-            tracer.count("sim.messages_delivered", stats.delivered)
-            tracer.count("sim.duplicate_deliveries", stats.duplicates)
-            dropped = _dropped(
-                channel_stats(fragment, system.t, system.r)
-            ) + _dropped(channel_stats(fragment, system.r, system.t))
-            tracer.count("sim.packets_dropped", dropped)
+            tracer.count(
+                "sim.messages_delivered", metrics.delivery.delivered
+            )
+            tracer.count(
+                "sim.duplicate_deliveries", metrics.delivery.duplicates
+            )
+            tracer.count("sim.packets_dropped", metrics.packets_dropped)
             if not quiescent:
                 tracer.count("sim.nonquiescent_runs")
         return result

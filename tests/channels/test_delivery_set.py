@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+import random
+from typing import List
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channels.delivery_set import (
+    _BLOCK,
     DeliverySet,
     DeliverySetError,
     random_lossy_fifo,
     random_reordering,
 )
+
+from ..hash_contract import assert_hash_contract, has_stored_hash
 
 
 # ----------------------------------------------------------------------
@@ -246,3 +255,153 @@ class TestScriptedGenerators:
     def test_reordering_invalid_window(self):
         with pytest.raises(DeliverySetError):
             random_reordering(0, 0.0, 0, 10)
+
+    @pytest.mark.parametrize("loss_rate", [1.0, 1.5, -3.0])
+    def test_reordering_invalid_rate(self, loss_rate):
+        # Rates outside [0, 1) used to lose every send (1.5) or none
+        # (-3) without complaint; they are rejected before any draw.
+        with pytest.raises(DeliverySetError):
+            random_reordering(0, loss_rate, 4, 10)
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(DeliverySetError):
+            random_lossy_fifo(0, 0.2, -1)
+        with pytest.raises(DeliverySetError):
+            random_reordering(0, 0.2, 4, -1)
+
+
+# ----------------------------------------------------------------------
+# Sets drawn on demand, against the eager generators as the oracle
+# ----------------------------------------------------------------------
+
+
+def eager_lossy_fifo(
+    seed: int, loss_rate: float, horizon: int
+) -> DeliverySet:
+    """The eager generator the on-demand one must reproduce exactly."""
+    if not 0.0 <= loss_rate < 1.0:
+        raise DeliverySetError("loss_rate must be in [0, 1)")
+    rng = random.Random(seed)
+    surviving = [
+        i for i in range(1, horizon + 1) if rng.random() >= loss_rate
+    ]
+    prefix = tuple(surviving)
+    return DeliverySet(prefix, horizon - len(prefix))
+
+
+def eager_reordering(
+    seed: int, loss_rate: float, window: int, horizon: int
+) -> DeliverySet:
+    """The eager generator the on-demand one must reproduce exactly."""
+    if window < 1:
+        raise DeliverySetError("window must be positive")
+    rng = random.Random(seed)
+    order: List[int] = []
+    for start in range(1, horizon + 1, window):
+        block = list(range(start, min(start + window, horizon + 1)))
+        rng.shuffle(block)
+        order.extend(i for i in block if rng.random() >= loss_rate)
+    prefix = tuple(order)
+    return DeliverySet(prefix, horizon - len(prefix))
+
+
+@st.composite
+def draw_specs(draw):
+    """(on-demand builder, eager oracle builder, horizon)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    loss_rate = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    window = draw(st.integers(1, 17))
+    horizon = draw(
+        st.sampled_from(
+            sorted(
+                {0, 1, window - 1, window + 1, _BLOCK - 1, _BLOCK + 1, 1024}
+            )
+        )
+    )
+    if draw(st.booleans()):
+        return (
+            lambda: random_lossy_fifo(seed, loss_rate, horizon),
+            lambda: eager_lossy_fifo(seed, loss_rate, horizon),
+            horizon,
+        )
+    return (
+        lambda: random_reordering(seed, loss_rate, window, horizon),
+        lambda: eager_reordering(seed, loss_rate, window, horizon),
+        horizon,
+    )
+
+
+#: Every way to read a whole set, by name; each must draw the rest.
+WHOLE_SET_READS = {
+    "prefix": lambda ds: ds.prefix,
+    "tail_offset": lambda ds: ds.tail_offset,
+    "hash": hash,
+    "repr": repr,
+    "is_monotone": lambda ds: ds.is_monotone(),
+    "pickle": lambda ds: pickle.loads(pickle.dumps(ds)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
+}
+
+
+class TestDrawnOnDemand:
+    @given(spec=draw_specs(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_eager_oracle(self, spec, data):
+        build, build_oracle, horizon = spec
+        oracle = build_oracle()
+        slots = list(range(1, horizon + 2 * _BLOCK))
+        for name, read in sorted(WHOLE_SET_READS.items()):
+            drawn = build()
+            probes = data.draw(
+                st.lists(st.sampled_from(slots), max_size=12), label=name
+            )
+            for j in probes:
+                assert drawn.source_of(j) == oracle.source_of(j)
+            value = read(drawn)
+            assert value == read(oracle), name
+            if isinstance(value, DeliverySet):
+                assert "_draw" not in vars(value)
+                assert not has_stored_hash(value)
+            assert drawn == oracle and oracle == drawn
+        drawn = build()
+        assert oracle == drawn and drawn == oracle
+        for j in range(1, horizon + _BLOCK):
+            assert build().source_of(j) == oracle.source_of(j)
+
+    @given(spec=draw_specs(), slot=st.integers(1, 80))
+    @settings(max_examples=30, deadline=None)
+    def test_hash_contract_before_and_after_a_partial_draw(
+        self, spec, slot
+    ):
+        build, _, _ = spec
+        assert_hash_contract(build())
+        drawn = build()
+        drawn.source_of(slot)
+        assert not has_stored_hash(drawn)
+        assert_hash_contract(drawn)
+
+    def test_a_lookup_draws_one_block(self):
+        drawn = random_lossy_fifo(5, 0.2, 1024)
+        drawn.source_of(1)
+        assert len(vars(drawn)["_draw"].drawn) <= _BLOCK
+        assert "prefix" not in vars(drawn)
+
+    def test_fifo_draw_answers_monotone_without_drawing(self):
+        drawn = random_lossy_fifo(5, 0.2, 1024)
+        assert drawn.is_monotone()
+        assert vars(drawn)["_draw"].drawn == []
+
+    def test_the_rng_is_released_once_the_horizon_is_drawn(self):
+        drawn = random_reordering(5, 0.2, 4, _BLOCK // 2)
+        drawn.source_of(1)  # the first block reaches the horizon
+        assert vars(drawn)["_draw"].blocks is None
+        drawn.source_of(_BLOCK)  # beyond the drawn prefix: store it
+        assert "_draw" not in vars(drawn)
+
+    def test_reading_a_field_stores_both(self):
+        drawn = random_reordering(9, 0.5, 3, 100)
+        oracle = eager_reordering(9, 0.5, 3, 100)
+        assert drawn.tail_offset == oracle.tail_offset
+        assert set(vars(drawn)) == {"prefix", "tail_offset"}

@@ -13,6 +13,7 @@ from repro.ioa import (
     apply_inputs,
     fair_extension,
     is_fair_finite,
+    replay_schedule,
     run_to_quiescence,
 )
 from .toys import Counter, Echo, ping, pong
@@ -181,6 +182,15 @@ PINNED_FUZZ_ABP_ARBITRARY = (
 PINNED_LOAD_ABP_NONFIFO = (
     "679623b519271ef151a33774d33747a258036c7f1b973b3039f0b5175f5bb524"
 )
+#: The lossy FIFO generator's paths, recorded before delivery sets
+#: were drawn on demand; the draw order, and so every output, must not
+#: change.
+PINNED_FUZZ_ABP_FIFO = (
+    "2663eabb4995f93e1882e8f4a13e7e38619ec801b2e58a5a1f79cd96199e2603"
+)
+PINNED_LOAD_STENNING_FIFO_CRASH_STORM = (
+    "96e6df7811ac82f98707df4aa7af56e335b9347f43368b3b2651b84516f9ec98"
+)
 
 
 def _fuzz_digest(protocol, channel, seed, **knobs):
@@ -211,13 +221,21 @@ def _fuzz_digest(protocol, channel, seed, **knobs):
     return hashlib.sha256(encoded.encode()).hexdigest()
 
 
-def _load_digest():
+def _load_digest(protocol="alternating_bit", channel="nonfifo", mix=None):
     import hashlib
     import json
 
-    from repro.sim.load import LoadConfig, normalized_report, run_load
+    from repro.sim.load import (
+        LoadConfig,
+        normalized_report,
+        run_load,
+        with_load_mix,
+    )
 
-    result = run_load("alternating_bit", "nonfifo", 0, LoadConfig(sessions=60))
+    config = LoadConfig(sessions=60)
+    if mix is not None:
+        config = with_load_mix(config, mix)
+    result = run_load(protocol, channel, 0, config)
     encoded = json.dumps(
         normalized_report(result.report().to_dict()), sort_keys=True
     )
@@ -243,3 +261,50 @@ class TestPinnedSchedules:
 
     def test_load_run(self):
         assert _load_digest() == PINNED_LOAD_ABP_NONFIFO
+
+    def test_fifo_fuzz_campaign(self):
+        digest = _fuzz_digest("alternating_bit", "fifo", 7, runs=6)
+        assert digest == PINNED_FUZZ_ABP_FIFO
+
+    def test_fifo_load_run_under_crash_storm(self):
+        digest = _load_digest("stenning", "fifo", mix="crash-storm")
+        assert digest == PINNED_LOAD_STENNING_FIFO_CRASH_STORM
+
+
+class TestLinearFragments:
+    """Runs build their fragment once, not one copy per step."""
+
+    STEPS = 20_000
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        built = []
+        check = ExecutionFragment.__post_init__
+
+        def counting(fragment):
+            built.append(len(fragment.actions))
+            check(fragment)
+
+        monkeypatch.setattr(ExecutionFragment, "__post_init__", counting)
+        return built
+
+    def test_timeout_fragment_is_built_once(self, constructions):
+        with pytest.raises(FairnessTimeout) as info:
+            run_to_quiescence(Perpetual(), 0, max_steps=self.STEPS)
+        assert len(info.value.fragment) == self.STEPS
+        assert info.value.fragment.final_state == self.STEPS
+        assert constructions == [self.STEPS]
+
+    def test_quiescent_run_is_built_once(self, constructions):
+        counter = Counter(self.STEPS)
+        fragment = run_to_quiescence(counter, counter.initial_state())
+        assert len(fragment) == self.STEPS
+        assert constructions == [self.STEPS]
+
+    def test_inputs_and_replays_are_built_once(self, constructions):
+        # Echo's state queues every ping, so keep its run shorter.
+        echo = Echo()
+        inputs = [ping(i) for i in range(2_000)]
+        fragment = apply_inputs(echo, (), inputs)
+        assert replay_schedule(echo, (), inputs) == fragment
+        assert constructions == [2_000, 2_000]

@@ -171,3 +171,72 @@ class TestStepSpanLabel:
         with tracing(MemorySink()):
             session.run()
         assert len(calls) == len(session.script)
+
+
+class TestOneMetricsPass:
+    """A session's metrics are computed once and shared by every reader."""
+
+    @pytest.fixture
+    def metric_calls(self, monkeypatch):
+        from repro.sim import metrics
+
+        calls = []
+        for name in ("delivery_stats", "channel_stats"):
+            real = getattr(metrics, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(metrics, name, counting)
+        return calls
+
+    def test_traced_load_session(self, metric_calls):
+        import random
+
+        from repro.conformance.harness import SubSeeds
+        from repro.obs import MemorySink, tracing
+        from repro.sim.load import LoadConfig, run_session
+
+        sink = MemorySink()
+        with tracing(sink):
+            outcome = run_session(
+                "alternating_bit",
+                "nonfifo",
+                0,
+                SubSeeds.derive(random.Random(3)),
+                LoadConfig(loss_rate=0.5),
+            )
+        assert outcome.error is None
+        assert metric_calls == ["delivery_stats"]
+        counted = {
+            event.name: event.value
+            for event in sink.events
+            if event.kind == "counter"
+        }
+        assert counted["sim.packets_dropped"] == outcome.dropped > 0
+        assert counted["sim.messages_delivered"] == outcome.delivered
+
+    def test_report_reuses_the_metrics(self, metric_calls):
+        result = _session().run()
+        first = result.report().counters
+        assert result.report().counters == first
+        assert metric_calls == ["delivery_stats"]
+        assert result.metrics(("r", "t")) is not result.metrics()
+
+    @pytest.mark.parametrize("channel", ["fifo", "nonfifo", "bounded_nonfifo"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dropped_packets_match_the_channel_census(self, channel, seed):
+        from repro.conformance.harness import FuzzConfig
+        from repro.sim.metrics import channel_stats
+
+        config = FuzzConfig(loss_rate=0.4, crash_probability=0.2)
+        result = Session.from_spec("stenning", channel, seed, config).run()
+        census = [
+            channel_stats(result.fragment, src, dst)
+            for src, dst in (("t", "r"), ("r", "t"))
+        ]
+        assert result.metrics().packets_dropped == sum(
+            max(0, stats.packets_sent - stats.packets_received)
+            for stats in census
+        )
